@@ -15,7 +15,6 @@ from rockrelax import (
     Architecture,
     ContaminatedDataset,
     LossKind,
-    MNIST3_WIDTHS,
     ReweightConfig,
     TrainConfig,
     inject_ncar,
@@ -24,6 +23,7 @@ from rockrelax import (
     split,
     subset_classes,
 )
+from rockrelax.models import MNIST3_WIDTHS
 
 root = os.environ.get("ROCKRELAX_MNIST_DIR")
 if not root:

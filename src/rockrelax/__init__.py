@@ -24,7 +24,6 @@ from rockrelax.models import (
     Architecture,
     ModelState,
     LossKind,
-    Batch,
     init_params,
     forward,
     loss_per_sample,

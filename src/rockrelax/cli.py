@@ -9,6 +9,7 @@ exact inputs.  Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numeric,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from rockrelax.data import (
 from rockrelax.errors import FormatError, InvalidInputError, NumericError, SchemaError
 from rockrelax.models import Architecture, LossKind, save_checkpoint
 from rockrelax.reweight import ReweightConfig
-from rockrelax.trainer import RunRecord, TrainConfig, evaluate_fgsm_sweep, run
+from rockrelax.trainer import BUCKET_LABELS, TrainConfig, evaluate_fgsm_sweep, run
 from rockrelax.verify import run_all
 
 EXIT_OK = 0
@@ -168,25 +169,23 @@ def cmd_inject(args) -> int:
 
 # ----------------------------------------------------------------- train
 
+# Numeric keys of the `train` section that map one-to-one onto TrainConfig fields.
+_TRAIN_CASTS = {"epsilon_train": float, "epochs_per_iteration": int, "batch_size": int,
+                "learning_rate": float, "max_iterations": int, "patience": int}
+
+
 def _train_config(doc: dict, seed: int, mode_override: str | None) -> TrainConfig:
+    """TrainConfig from the `train` section; a key it leaves out keeps the dataclass default."""
     t = _require(doc, "train")
-    mode = mode_override or t.get("mode", "rrm")
-    return TrainConfig(
-        mode=mode,
-        loss_kind=LossKind(t.get("loss", "cce")),
-        epsilon_train=float(t.get("epsilon_train", 0.0)),
-        epochs_per_iteration=int(t.get("epochs_per_iteration", 10)),
-        batch_size=int(t.get("batch_size", 32)),
-        learning_rate=float(t.get("learning_rate", 0.1)),
-        reweight=ReweightConfig(
-            gamma=float(t.get("gamma", 0.4)),
-            mu=float(t.get("mu", 0.5)),
-            contamination_estimate=t.get("contamination_estimate"),
-        ),
-        max_iterations=int(t.get("max_iterations", 10)),
-        seed=seed,
-        patience=int(t.get("patience", 10)),
-    )
+    kw = {key: cast(t[key]) for key, cast in _TRAIN_CASTS.items() if key in t}
+    if mode_override or "mode" in t:
+        kw["mode"] = mode_override or t["mode"]
+    if "loss" in t:
+        kw["loss_kind"] = LossKind(t["loss"])
+    rw = {key: float(t[key]) for key in ("gamma", "mu") if key in t}
+    if "contamination_estimate" in t:
+        rw["contamination_estimate"] = t["contamination_estimate"]
+    return TrainConfig(reweight=ReweightConfig(**rw), seed=seed, **kw)
 
 
 def _run_one_seed(doc: dict, seed: int, mode_override: str | None,
@@ -249,7 +248,7 @@ def cmd_train(args) -> int:
         maxes = np.array([s["max_test_accuracy"] for s in summaries], dtype=float)
         aggregate = {
             "config": doc,
-            "mode": args.mode or doc["train"].get("mode", "rrm"),
+            "mode": summaries[0]["config"]["mode"],
             "seeds": [s["seed"] for s in summaries],
             "test_at_peak_validation_mean": float(peaks.mean()),
             # population std, matching mean +/- std reporting over seeds
@@ -294,21 +293,13 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- report
 
-def _read_summary(run_dir: Path) -> dict:
-    path = run_dir / "aggregate.json"
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact: {path}")
-    with open(path) as f:
-        return json.load(f)
-
-
 def cmd_report(args) -> int:
     run_dirs = [Path(d) for d in args.run_dirs]
     missing = [str(d) for d in run_dirs if not (d / "aggregate.json").exists()]
     if missing:
         print("missing artifacts:\n  " + "\n  ".join(missing), file=sys.stderr)
         return EXIT_IO
-    aggregates = [_read_summary(d) for d in run_dirs]
+    aggregates = [json.loads((d / "aggregate.json").read_text()) for d in run_dirs]
 
     out_dir = _resolve_output(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -348,15 +339,13 @@ def cmd_report(args) -> int:
             f.write(",".join(str(v) for v in row) + "\n")
 
     # weight-evolution export: iterations x buckets x {contaminated, clean}
-    import csv as _csv
-    from rockrelax.trainer import BUCKET_LABELS
     with open(out_dir / "weight_evolution.csv", "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(["run", "seed", "iteration", "bucket", "population", "count"])
         for d in run_dirs:
             for seed_dir in sorted(d.glob("seed_*")):
                 with open(seed_dir / "record.csv") as rf:
-                    for rec in _csv.DictReader(rf):
+                    for rec in csv.DictReader(rf):
                         for bi, label in enumerate(BUCKET_LABELS):
                             w.writerow([d.name, seed_dir.name, rec["iteration"],
                                         label, "contaminated",

@@ -67,7 +67,12 @@ class Architecture:
 
 @dataclass(frozen=True)
 class ModelState:
-    """Immutable parameter snapshot: architecture plus flat theta vector."""
+    """Parameter value object: architecture plus flat theta vector.
+
+    Construction checks theta's length and finiteness.  Treat instances as
+    values; `gradient_step` is the one writer, and it updates only a private
+    copy in place before returning a freshly checked model.
+    """
 
     architecture: Architecture
     theta: np.ndarray
@@ -90,23 +95,6 @@ class ModelState:
         return ModelState(self.architecture, theta)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A slice of the training set with per-sample probabilities 1/N + u_i."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    sample_ids: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        n = self.features.shape[0]
-        if not (self.labels.shape == self.sample_ids.shape == self.weights.shape == (n,)):
-            raise InvalidInputError("batch arrays disagree on sample count")
-        if np.any(self.weights < 0):
-            raise InvalidInputError("batch weights must be non-negative")
-
-
 def init_params(architecture: Architecture, seed: int) -> ModelState:
     """He-scaled normal initialization, deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -123,7 +111,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(model: ModelState, x: np.ndarray):
-    """Return (activations per layer incl. input, softmax probs)."""
+    """Return (weight matrices, activations per layer incl. input, softmax probs)."""
     if x.ndim != 2 or x.shape[1] != model.architecture.input_dim:
         raise InvalidInputError(
             f"feature dim {x.shape[-1] if x.ndim else '?'} does not match "
@@ -135,45 +123,48 @@ def _forward_pass(model: ModelState, x: np.ndarray):
     for w in mats[:-1]:
         h = np.maximum(h @ w, 0.0)
         acts.append(h)
-    return acts, _softmax(h @ mats[-1])
+    return mats, acts, _softmax(h @ mats[-1])
 
 
 def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Class-probability matrix (rows sum to 1)."""
     features = np.asarray(features, dtype=float)
-    _, probs = _forward_pass(model, features)
-    return probs
+    return _forward_pass(model, features)[2]
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+def _residual(probs: np.ndarray, labels) -> np.ndarray:
+    """probs minus the one-hot labels: 1 is subtracted at each label's column."""
     labels = np.asarray(labels)
+    k = probs.shape[1]
     if np.any(labels < 0) or np.any(labels >= k):
         raise InvalidInputError(f"labels must lie in [0, {k})")
-    return np.eye(k)[labels]
+    r = probs.copy()
+    r[np.arange(probs.shape[0]), labels] -= 1.0
+    return r
 
 
 def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     """Per-sample loss of softmax probabilities against integer labels."""
     probs = np.asarray(probs, dtype=float)
-    e = _one_hot(labels, probs.shape[1])
+    r = _residual(probs, labels)  # also rejects out-of-range labels
     if kind is LossKind.CCE:
         p_y = probs[np.arange(probs.shape[0]), np.asarray(labels)]
         return -np.log(np.maximum(p_y, CCE_CLAMP))
     if kind is LossKind.MAE:
-        return np.abs(probs - e).sum(axis=1)
+        return np.abs(r).sum(axis=1)
     if kind is LossKind.MSE:
-        return ((probs - e) ** 2).sum(axis=1)
+        return (r ** 2).sum(axis=1)
     raise InvalidInputError(f"unknown loss kind {kind!r}")
 
 
-def _grad_logits(probs: np.ndarray, e: np.ndarray, kind: LossKind) -> np.ndarray:
-    """dJ/dlogits for each loss kind, via the softmax Jacobian."""
+def _grad_logits(probs: np.ndarray, r: np.ndarray, kind: LossKind) -> np.ndarray:
+    """dJ/dlogits for each loss kind from the residual r = probs - onehot(y)."""
     if kind is LossKind.CCE:
-        return probs - e
+        return r
     if kind is LossKind.MAE:
-        g = np.sign(probs - e)
+        g = np.sign(r)
     elif kind is LossKind.MSE:
-        g = 2.0 * (probs - e)
+        g = 2.0 * r
     else:
         raise InvalidInputError(f"unknown loss kind {kind!r}")
     return probs * (g - (probs * g).sum(axis=1, keepdims=True))
@@ -182,10 +173,8 @@ def _grad_logits(probs: np.ndarray, e: np.ndarray, kind: LossKind) -> np.ndarray
 def _backprop(model: ModelState, x: np.ndarray, labels: np.ndarray,
               sample_scale: np.ndarray, kind: LossKind, want_input_grad: bool):
     """Gradient of sum_i sample_scale_i * J_i wrt theta (and optionally x)."""
-    mats = model.matrices()
-    acts, probs = _forward_pass(model, x)
-    e = _one_hot(labels, model.architecture.num_classes)
-    delta = _grad_logits(probs, e, kind) * sample_scale[:, None]
+    mats, acts, probs = _forward_pass(model, x)
+    delta = _grad_logits(probs, _residual(probs, labels), kind) * sample_scale[:, None]
     grads = [None] * len(mats)
     for li in range(len(mats) - 1, -1, -1):
         grads[li] = acts[li].T @ delta
@@ -199,11 +188,13 @@ def _backprop(model: ModelState, x: np.ndarray, labels: np.ndarray,
     return flat, (delta if want_input_grad else None)
 
 
-def grad_params_weighted(model: ModelState, batch: Batch, kind: LossKind) -> np.ndarray:
-    """sum_i w_i * dJ(theta; x_i, y_i)/dtheta over the batch."""
-    grad, _ = _backprop(model, np.asarray(batch.features, dtype=float),
-                        batch.labels, np.asarray(batch.weights, dtype=float),
-                        kind, want_input_grad=False)
+def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
+                         weights: np.ndarray, kind: LossKind) -> np.ndarray:
+    """sum_i w_i * dJ(theta; x_i, y_i)/dtheta over the rows of x."""
+    if not np.shape(labels) == np.shape(weights) == (np.shape(x)[0],):
+        raise InvalidInputError("features, labels and weights disagree on sample count")
+    grad, _ = _backprop(model, np.asarray(x, dtype=float), labels,
+                        np.asarray(weights, dtype=float), kind, want_input_grad=False)
     return grad
 
 

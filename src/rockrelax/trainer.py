@@ -18,7 +18,6 @@ from rockrelax.data import ContaminatedDataset
 from rockrelax.errors import InvalidInputError
 from rockrelax.models import (
     Architecture,
-    Batch,
     LossKind,
     ModelState,
     fgsm_perturb,
@@ -181,13 +180,17 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
     Per-batch update: theta -= lr * (N / batch) * sum_i w_i grad_i with
     w_i = 1/N + u_i looked up by global sample id, so uniform weights
     reproduce the plain mean-gradient SGD step and a fully-pruned sample
-    contributes nothing.
+    contributes nothing.  Theta is updated in place in one private working
+    copy; the caller's model is left untouched.
     """
     n = dataset.n
     if u.n != n:
         raise InvalidInputError(f"shift vector length {u.n} != dataset size {n}")
     weights = u.weights()
-    theta = model.theta
+    if np.any(weights < 0):
+        raise InvalidInputError("sample weights must be non-negative")
+    work = model.with_theta(model.theta.copy())
+    theta = work.theta
     eps = config.epsilon_train
     for _ in range(config.epochs_per_iteration):
         order = rng.permutation(n)
@@ -195,11 +198,10 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
             ids = order[start:start + config.batch_size]
             x = dataset.features[ids]
             y = dataset.observed_labels[ids]
-            cur = model.with_theta(theta)
             if eps > 0:
-                x = fgsm_perturb(cur, x, y, eps, config.loss_kind)
-            grad = grad_params_weighted(cur, Batch(x, y, ids, weights[ids]), config.loss_kind)
-            theta = theta - config.learning_rate * (n / ids.size) * grad
+                x = fgsm_perturb(work, x, y, eps, config.loss_kind)
+            grad = grad_params_weighted(work, x, y, weights[ids], config.loss_kind)
+            theta -= config.learning_rate * (n / ids.size) * grad
     return model.with_theta(theta)
 
 
@@ -217,13 +219,13 @@ def reweight_step(model: ModelState, dataset: ContaminatedDataset, u_prev: Weigh
     return blend_weights(u_prev, u_star, mu), partition_losses(c, gamma)
 
 
-def _pruned_metrics(part: LossPartition, contaminated_set) -> tuple[int, float, float]:
-    chi = set(part.chi.tolist())
-    c_set = set(np.asarray(contaminated_set, dtype=int).tolist())
-    hits = len(chi & c_set)
-    precision = hits / len(chi) if chi else 0.0
-    recall = hits / len(c_set) if c_set else 0.0
-    return len(chi), precision, recall
+def _pruned_metrics(part: LossPartition, dataset: ContaminatedDataset) -> tuple[int, float, float]:
+    """(|chi|, share of chi that is contaminated, share of contaminated in chi)."""
+    pruned, contaminated = part.chi.size, dataset.contaminated_set.size
+    hits = int(np.count_nonzero(dataset.contamination_mask()[part.chi]))
+    precision = hits / pruned if pruned else 0.0
+    recall = hits / contaminated if contaminated else 0.0
+    return pruned, precision, recall
 
 
 def run(train: ContaminatedDataset, validation: ContaminatedDataset,
@@ -241,13 +243,13 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
     best_val, stale = -np.inf, 0
     for it in range(1, config.max_iterations + 1):
         model = gradient_step(model, train, u, config, rng)
-        c = loss_per_sample(forward(model, train.features), train.observed_labels,
-                            config.loss_kind)
+        probs = forward(model, train.features)
+        c = loss_per_sample(probs, train.observed_labels, config.loss_kind)
         if config.mode == "erm":
             pruned, precision, recall = 0, 0.0, 0.0
         else:
             u, part = reweight_step(model, train, u, config)
-            pruned, precision, recall = _pruned_metrics(part, train.contaminated_set)
+            pruned, precision, recall = _pruned_metrics(part, train)
         val_acc = accuracy(model, validation.features, validation.observed_labels)
         test_acc = accuracy(model, test.features, test.clean_labels)
         hist = weight_histogram(u, train.contaminated_set)
@@ -256,7 +258,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
             mean_loss=float(c.mean()),
             min_loss=float(c.min()),
             max_loss=float(c.max()),
-            train_accuracy=accuracy(model, train.features, train.observed_labels),
+            train_accuracy=float(np.mean(probs.argmax(axis=1) == train.observed_labels)),
             validation_accuracy=val_acc,
             test_accuracy=test_acc,
             tv=tv_distance(u),

@@ -15,7 +15,6 @@ import numpy as np
 
 from rockrelax.models import (
     Architecture,
-    Batch,
     LossKind,
     ModelState,
     forward,
@@ -152,7 +151,7 @@ def gradient_check_suite(trials: int = 100, seed: int = 3, step: float = 1e-5,
         y = rng.integers(0, 3, size=nb)
         w = rng.uniform(0.1, 1.0, size=nb)
 
-        grad = grad_params_weighted(model, Batch(x, y, np.arange(nb), w), kind)
+        grad = grad_params_weighted(model, x, y, w, kind)
 
         def theta_obj(theta):
             return float(w @ loss_per_sample(forward(model.with_theta(theta), x), y, kind))

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rockrelax.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
+from rockrelax.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _train_config, main
 from rockrelax.data import load_cache
+from rockrelax.trainer import TrainConfig
 
 
 def write_json(path, doc):
@@ -109,6 +110,10 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--mode", "erm", "--seed", "5"]) == EXIT_OK
         agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
         assert agg["mode"] == "erm" and agg["seeds"] == [5]
+
+    def test_empty_train_section_keeps_dataclass_defaults(self):
+        assert _train_config({"train": {}}, 7, None) == TrainConfig(seed=7)
+        assert _train_config({"train": {}}, 7, "erm") == TrainConfig(mode="erm", seed=7)
 
     def test_missing_cache_io_error(self, tmp_path):
         doc = train_config(tmp_path)

@@ -5,7 +5,6 @@ from rockrelax.errors import InvalidInputError
 from rockrelax.models import (
     MNIST3_WIDTHS,
     Architecture,
-    Batch,
     LossKind,
     ModelState,
     fgsm_perturb,
@@ -104,8 +103,7 @@ class TestGradients:
             x = rng.uniform(size=(6, 4))
             y = rng.integers(0, 3, size=6)
             w = rng.uniform(0.1, 1.0, size=6)
-            batch = Batch(x, y, np.arange(6), w)
-            grad = grad_params_weighted(model, batch, kind)
+            grad = grad_params_weighted(model, x, y, w, kind)
 
             def total(theta):
                 probs = forward(model.with_theta(theta), x)
@@ -135,9 +133,17 @@ class TestGradients:
     def test_zero_weights_zero_gradient(self):
         rng = np.random.default_rng(7)
         model = small_model(rng)
-        batch = Batch(rng.uniform(size=(5, 4)), rng.integers(0, 3, size=5),
-                      np.arange(5), np.zeros(5))
-        assert np.all(grad_params_weighted(model, batch, LossKind.CCE) == 0)
+        x, y = rng.uniform(size=(5, 4)), rng.integers(0, 3, size=5)
+        assert np.all(grad_params_weighted(model, x, y, np.zeros(5), LossKind.CCE) == 0)
+
+    def test_sample_count_mismatch_rejected(self):
+        rng = np.random.default_rng(9)
+        model = small_model(rng)
+        x, y = rng.uniform(size=(4, 4)), rng.integers(0, 3, size=4)
+        with pytest.raises(InvalidInputError):
+            grad_params_weighted(model, x, y, np.ones(1), LossKind.CCE)
+        with pytest.raises(InvalidInputError):
+            grad_params_weighted(model, x, y[:1], np.ones(4), LossKind.CCE)
 
     def test_uniform_weights_equal_mean_gradient(self):
         rng = np.random.default_rng(8)
@@ -145,11 +151,9 @@ class TestGradients:
         n = 7
         x = rng.uniform(size=(n, 4))
         y = rng.integers(0, 3, size=n)
-        weighted = grad_params_weighted(
-            model, Batch(x, y, np.arange(n), np.full(n, 1 / n)), LossKind.MSE)
+        weighted = grad_params_weighted(model, x, y, np.full(n, 1 / n), LossKind.MSE)
         per_sample = [
-            grad_params_weighted(model, Batch(x[i:i + 1], y[i:i + 1],
-                                              np.array([i]), np.ones(1)), LossKind.MSE)
+            grad_params_weighted(model, x[i:i + 1], y[i:i + 1], np.ones(1), LossKind.MSE)
             for i in range(n)
         ]
         np.testing.assert_allclose(weighted, np.mean(per_sample, axis=0), atol=1e-10)

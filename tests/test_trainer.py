@@ -7,10 +7,11 @@ import pytest
 from rockrelax.data import ContaminatedDataset, inject_ncar, make_synthetic_blobs, split
 from rockrelax.errors import InvalidInputError
 from rockrelax.models import Architecture, LossKind
-from rockrelax.reweight import ReweightConfig, WeightShift, solve_reweight
+from rockrelax.reweight import LossPartition, ReweightConfig, WeightShift, solve_reweight
 from rockrelax.trainer import (
     BUCKET_LABELS,
     TrainConfig,
+    _pruned_metrics,
     evaluate_fgsm_sweep,
     gradient_step,
     reweight_step,
@@ -98,6 +99,51 @@ class TestGradientStep:
         model = gradient_step(init_params(Architecture((6, 3)), 2), ds,
                               WeightShift.zero(ds.n), cfg, np.random.default_rng(2))
         assert accuracy(model, ds.features, ds.clean_labels) >= 0.99
+
+    def test_leaves_caller_model_unchanged(self):
+        train, _, _ = blob_splits(0)
+        from rockrelax.models import init_params
+        m0 = init_params(ARCH, 0)
+        before = m0.theta.copy()
+        out = gradient_step(m0, train, WeightShift.zero(train.n), config(),
+                            np.random.default_rng(5))
+        np.testing.assert_array_equal(m0.theta, before)
+        assert not np.shares_memory(out.theta, m0.theta)
+
+    def test_negative_weight_rejected(self):
+        train, _, _ = blob_splits(1)
+        from rockrelax.models import init_params
+        u = np.zeros(train.n)
+        u[0] = -2.0 / train.n  # weight 1/N + u_0 < 0
+        u[1] = 2.0 / train.n
+        with pytest.raises(InvalidInputError):
+            gradient_step(init_params(ARCH, 1), train, WeightShift(u), config(),
+                          np.random.default_rng(1))
+
+
+class TestPrunedMetrics:
+    @staticmethod
+    def dataset(contaminated):
+        clean = np.zeros(8, dtype=int)
+        observed = clean.copy()
+        observed[contaminated] = 1
+        return ContaminatedDataset(np.zeros((8, 2)), observed, clean,
+                                   np.asarray(contaminated, dtype=int), 3)
+
+    @staticmethod
+    def partition(chi):
+        rest = np.setdiff1d(np.arange(8), chi)
+        return LossPartition(0.0, 0.4, i_min=rest[:2], i_mid=rest[2:], i_big=np.empty(0, int),
+                             chi=np.asarray(chi, dtype=int))
+
+    def test_counts_on_hand_built_partition(self):
+        # chi = {0, 1, 3}, C = {1, 3, 5, 6}: two hits
+        part, ds = self.partition([0, 1, 3]), self.dataset([1, 3, 5, 6])
+        assert _pruned_metrics(part, ds) == (3, 2 / 3, 0.5)
+
+    def test_empty_sets_give_zero_rates(self):
+        assert _pruned_metrics(self.partition([]), self.dataset([2, 4])) == (0, 0.0, 0.0)
+        assert _pruned_metrics(self.partition([2, 4]), self.dataset([])) == (2, 0.0, 0.0)
 
 
 class TestReweightStep:
