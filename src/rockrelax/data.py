@@ -287,8 +287,13 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
         if "version" not in z or int(z["version"]) != CACHE_VERSION:
             raise FormatError(f"unsupported cache version in {path}")
         header = {k: z[k].item() for k in ("version", "n", "dim", "num_classes", "seed", "rate")}
+        features = z["features"]
+        if features.shape != (header["n"], header["dim"]):
+            raise FormatError(
+                f"cache header n={header['n']}, dim={header['dim']} disagrees with "
+                f"features of shape {features.shape} in {path}")
         dataset = ContaminatedDataset(
-            features=z["features"],
+            features=features,
             observed_labels=z["observed_labels"],
             clean_labels=z["clean_labels"],
             contaminated_set=np.flatnonzero(z["contaminated_mask"]),

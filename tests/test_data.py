@@ -216,6 +216,20 @@ class TestCache:
         np.testing.assert_array_equal(loaded.contaminated_set, ds.contaminated_set)
         assert header["n"] == 30 and header["seed"] == 13 and header["rate"] == 0.3
 
+    @pytest.mark.parametrize("field,value", [("n", 31), ("dim", 2)])
+    def test_header_disagreeing_with_features_rejected(self, tmp_path, field, value):
+        rng = np.random.default_rng(12)
+        ds = toy_dataset(rng, n=30, rate=0.3, seed=13)
+        path = tmp_path / "cache.npz"
+        save_cache(path, ds, seed=13, rate=0.3)
+        with np.load(path) as z:
+            arrays = dict(z)
+        assert arrays[field] != value
+        arrays[field] = np.array(value)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(FormatError, match="disagrees"):
+            load_cache(path)
+
 
 class TestInvariants:
     def test_contamination_set_consistency_enforced(self):

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from rockrelax.errors import InvalidInputError
 from rockrelax.reweight import (
+    FEAS_TOL,
+    GAMMA_FLOOR_SCALE,
+    KKT_BLOCK,
     ReweightConfig,
     WeightShift,
     auto_tune_gamma,
@@ -21,6 +24,49 @@ def random_shift(rng, n):
     """A random feasible shift: a probability vector minus uniform."""
     p = rng.dirichlet(np.ones(n))
     return WeightShift(p - 1.0 / n)
+
+
+def _scan_oracle(c, c_prime):
+    """Reference auto_tune_gamma: scan distinct losses from the top, recounting each time."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    c_min = float(c.min())
+    floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
+    for ell in np.unique(c)[::-1]:
+        frac_above = np.count_nonzero(c > ell) / n
+        if frac_above >= c_prime - FEAS_TOL:
+            gamma = float(ell) - c_min
+            return gamma if gamma > 0 else floor
+    return floor
+
+
+def _check_kkt_oracle(c, u, gamma, tol=1e-9):
+    """Reference check_kkt: one coordinate at a time, same tolerances and precedence."""
+    c = np.asarray(c, dtype=float)
+    if not u.is_feasible(tol=max(FEAS_TOL, tol)):
+        return False
+    n = u.n
+    lam = float(c.min()) + 0.5 * gamma
+    for ui, ci in zip(u.shifts, c):
+        if abs(ui + 1.0 / n) <= tol:
+            ok = lam <= ci - 0.5 * gamma + tol
+        elif abs(ui) <= tol:
+            ok = ci - 0.5 * gamma - tol <= lam <= ci + 0.5 * gamma + tol
+        elif ui > 0:
+            ok = abs(lam - (ci + 0.5 * gamma)) <= tol
+        else:
+            ok = abs(lam - (ci - 0.5 * gamma)) <= tol
+        if not ok:
+            return False
+    return True
+
+
+# Loss vectors of length 1..60: arbitrary floats, or small integers with many ties.
+loss_vectors = st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+    st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60),
+).map(np.array)
+fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestPartition:
@@ -173,6 +219,18 @@ class TestAutoTune:
         with pytest.raises(InvalidInputError):
             auto_tune_gamma([1.0, 2.0], 1.5)
 
+    @given(loss_vectors, fractions)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_scan_oracle_exactly(self, c, c_prime):
+        assert auto_tune_gamma(c, c_prime) == _scan_oracle(c, c_prime)
+
+    def test_guarantee_at_one_million(self):
+        rng = np.random.default_rng(16)
+        c = rng.exponential(size=10**6)
+        for losses in (c, np.round(c, 2)):
+            gamma = auto_tune_gamma(losses, 0.6)
+            assert partition_losses(losses, gamma).pruned_fraction >= 0.6
+
 
 class TestObjectiveAndTv:
     def test_zero_shift_gives_mean(self):
@@ -210,6 +268,49 @@ class TestKkt:
 
     def test_rejects_infeasible(self):
         assert not check_kkt([1.0, 2.0], WeightShift(np.array([1.0, 0.5])), 1.0)
+
+    @pytest.mark.parametrize("where", [0, KKT_BLOCK - 1, KKT_BLOCK, 3 * KKT_BLOCK + 4])
+    def test_matches_loop_oracle_across_blocks(self, where):
+        rng = np.random.default_rng(17)
+        c = rng.exponential(size=3 * KKT_BLOCK + 5)
+        gamma = auto_tune_gamma(c, 0.6)
+        u = solve_reweight(c, gamma)
+        assert check_kkt(c, u, gamma) and _check_kkt_oracle(c, u, gamma)
+        # Move coordinate `where` off the saturated or zero case; the
+        # minimum-loss coordinate absorbs the change and stays positive.
+        assert where != np.argmin(c)
+        shifts = u.shifts.copy()
+        delta = 0.5 / c.size if shifts[where] < 0 else -0.5 / c.size
+        shifts[where] += delta
+        shifts[np.argmin(c)] -= delta
+        broken = WeightShift(shifts)
+        assert not check_kkt(c, broken, gamma)
+        assert not _check_kkt_oracle(c, broken, gamma)
+
+    @given(loss_vectors, st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle_on_solutions_and_zero(self, c, gamma):
+        for u in (solve_reweight(c, gamma), WeightShift.zero(c.size)):
+            assert check_kkt(c, u, gamma) == _check_kkt_oracle(c, u, gamma)
+
+    @given(loss_vectors.filter(lambda c: c.size >= 2), st.floats(1e-3, 10.0), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_loop_oracle_on_boundary_perturbations(self, c, gamma, data):
+        """Mass moved between two coordinates by amounts around the classification tolerance."""
+        i, j = data.draw(st.lists(st.integers(0, c.size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        gap = c[i] - c.min()
+        if gap > 1e-8 and data.draw(st.booleans()):
+            # put c_i on (or within the tolerance of) the breakpoint c_min + gamma
+            gamma = gap + data.draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9]))
+        u = solve_reweight(c, gamma).shifts.copy()
+        boundary = data.draw(st.sampled_from([-1.0 / c.size, 0.0]))  # saturated or zero
+        offset = data.draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 2e-9, -2e-9]))
+        moved = boundary + offset - u[i]
+        u[i] += moved
+        u[j] -= moved
+        shift = WeightShift(u)
+        assert check_kkt(c, shift, gamma) == _check_kkt_oracle(c, shift, gamma)
 
 
 class TestConfig:
