@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +69,16 @@ class Architecture:
 class ModelState:
     """Parameter value object: architecture plus flat theta vector.
 
-    Construction checks theta's length and finiteness.  Treat instances as
-    values; `gradient_step` is the one writer, and it updates only a private
-    copy in place before returning a freshly checked model.
+    Construction checks theta's length and finiteness and builds the
+    per-layer weight matrices once, as views into theta.  Treat instances
+    as values; `gradient_step` is the one writer, and it updates only a
+    private copy in place (which its views see) before returning a freshly
+    checked model.
     """
 
     architecture: Architecture
     theta: np.ndarray
+    _matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -87,9 +90,12 @@ class ModelState:
             )
         if not np.all(np.isfinite(theta)):
             raise InvalidInputError("theta contains non-finite values")
+        object.__setattr__(self, "_matrices", tuple(
+            theta[s].reshape(shape) for s, shape in self.architecture.layout()))
 
-    def matrices(self) -> list[np.ndarray]:
-        return [self.theta[s].reshape(shape) for s, shape in self.architecture.layout()]
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Weight matrix per layer, each a view into theta."""
+        return self._matrices
 
     def with_theta(self, theta: np.ndarray) -> "ModelState":
         return ModelState(self.architecture, theta)
@@ -121,7 +127,8 @@ def _forward_pass(model: ModelState, x: np.ndarray):
     acts = [x]
     h = x
     for w in mats[:-1]:
-        h = np.maximum(h @ w, 0.0)
+        h = h @ w
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     return mats, acts, _softmax(h @ mats[-1])
 
@@ -170,39 +177,75 @@ def _grad_logits(probs: np.ndarray, r: np.ndarray, kind: LossKind) -> np.ndarray
     return probs * (g - (probs * g).sum(axis=1, keepdims=True))
 
 
-def _backprop(model: ModelState, x: np.ndarray, labels: np.ndarray,
-              sample_scale: np.ndarray, kind: LossKind, want_input_grad: bool):
-    """Gradient of sum_i sample_scale_i * J_i wrt theta (and optionally x)."""
+def _all_finite(a: np.ndarray) -> bool:
+    """Exact all-finite test of a flat array.
+
+    A finite sum of squares rules out inf and nan in one BLAS pass; only
+    when it is not finite (a non-finite entry, or a sum beyond the float64
+    range) are the entries tested one by one.
+    """
+    return bool(np.isfinite(a @ a)) or bool(np.all(np.isfinite(a)))
+
+
+def _backprop(model: ModelState, x: np.ndarray, labels: np.ndarray, kind: LossKind,
+              sample_scale: np.ndarray | None = None, grad_out: np.ndarray | None = None):
+    """Backpropagate sum_i sample_scale_i * J_i (scale 1 when None).
+
+    With `grad_out`, a flat theta-sized buffer, each layer's parameter
+    gradient is written into its slice and the chain stops at the first
+    layer.  Without it no parameter gradient is formed, the chain runs on
+    to the input, and the input gradient is returned.
+    """
     mats, acts, probs = _forward_pass(model, x)
-    delta = _grad_logits(probs, _residual(probs, labels), kind) * sample_scale[:, None]
-    grads = [None] * len(mats)
+    delta = _grad_logits(probs, _residual(probs, labels), kind)
+    if sample_scale is not None:
+        delta *= sample_scale[:, None]
+    end = model.architecture.num_params
     for li in range(len(mats) - 1, -1, -1):
-        grads[li] = acts[li].T @ delta
+        w = mats[li]
+        if grad_out is not None:
+            start = end - w.size
+            np.matmul(acts[li].T, delta, out=grad_out[start:end].reshape(w.shape))
+            end = start
         if li > 0:
-            delta = (delta @ mats[li].T) * (acts[li] > 0)
-        elif want_input_grad:
-            delta = delta @ mats[0].T
-    flat = np.concatenate([g.ravel() for g in grads])
-    if not np.all(np.isfinite(flat)):
-        raise NumericError("non-finite parameter gradient")
-    return flat, (delta if want_input_grad else None)
+            delta = delta @ w.T
+            delta *= acts[li] > 0
+        elif grad_out is None:
+            return delta @ w.T
+    return None
 
 
 def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
-                         weights: np.ndarray, kind: LossKind) -> np.ndarray:
-    """sum_i w_i * dJ(theta; x_i, y_i)/dtheta over the rows of x."""
+                         weights: np.ndarray, kind: LossKind,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i w_i * dJ(theta; x_i, y_i)/dtheta over the rows of x.
+
+    The gradient is written into `out` (a C-contiguous float64 array of
+    shape (num_params,) that does not overlap theta) when given, else into
+    a new array; that array is returned.
+    """
     if not np.shape(labels) == np.shape(weights) == (np.shape(x)[0],):
         raise InvalidInputError("features, labels and weights disagree on sample count")
-    grad, _ = _backprop(model, np.asarray(x, dtype=float), labels,
-                        np.asarray(weights, dtype=float), kind, want_input_grad=False)
-    return grad
+    size = model.architecture.num_params
+    if out is None:
+        out = np.empty(size)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (size,) and out.flags.c_contiguous):
+        raise InvalidInputError(f"out must be a C-contiguous float64 array of shape ({size},)")
+    elif np.may_share_memory(out, model.theta):
+        raise InvalidInputError("out must not overlap the model's theta")
+    _backprop(model, np.asarray(x, dtype=float), labels, kind,
+              sample_scale=np.asarray(weights, dtype=float), grad_out=out)
+    if not _all_finite(out):
+        raise NumericError("non-finite parameter gradient")
+    return out
 
 
 def grad_input(model: ModelState, x: np.ndarray, y: int, kind: LossKind) -> np.ndarray:
     """Gradient of the per-sample loss with respect to the input features."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     labels = np.atleast_1d(np.asarray(y))
-    _, gx = _backprop(model, x, labels, np.ones(x.shape[0]), kind, want_input_grad=True)
+    gx = _backprop(model, x, labels, kind)
     if not np.all(np.isfinite(gx)):
         raise NumericError("non-finite input gradient")
     return gx[0] if gx.shape[0] == 1 and np.ndim(y) == 0 else gx

@@ -55,7 +55,14 @@ _NEAR_ZERO = 1e-6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run.
+
+    `patience` is the number of iterations without a new peak validation
+    accuracy after which the run stops.  Its default equals the default
+    `max_iterations` (10) and the first iteration always sets a peak, so
+    early stopping never fires by default; set `patience` below
+    `max_iterations` to use it.
+    """
 
     mode: str = "rrm"
     loss_kind: LossKind = LossKind.CCE
@@ -181,7 +188,8 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
     w_i = 1/N + u_i looked up by global sample id, so uniform weights
     reproduce the plain mean-gradient SGD step and a fully-pruned sample
     contributes nothing.  Theta is updated in place in one private working
-    copy; the caller's model is left untouched.
+    copy, through one gradient buffer reused by every batch; the caller's
+    model is left untouched.
     """
     n = dataset.n
     if u.n != n:
@@ -191,6 +199,7 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
         raise InvalidInputError("sample weights must be non-negative")
     work = model.with_theta(model.theta.copy())
     theta = work.theta
+    grad = np.empty_like(theta)
     eps = config.epsilon_train
     for _ in range(config.epochs_per_iteration):
         order = rng.permutation(n)
@@ -200,16 +209,25 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
             y = dataset.observed_labels[ids]
             if eps > 0:
                 x = fgsm_perturb(work, x, y, eps, config.loss_kind)
-            grad = grad_params_weighted(work, x, y, weights[ids], config.loss_kind)
-            theta -= config.learning_rate * (n / ids.size) * grad
+            grad_params_weighted(work, x, y, weights[ids], config.loss_kind, out=grad)
+            grad *= config.learning_rate * (n / ids.size)
+            theta -= grad
     return model.with_theta(theta)
 
 
 def reweight_step(model: ModelState, dataset: ContaminatedDataset, u_prev: WeightShift,
-                  config: TrainConfig) -> tuple[WeightShift, LossPartition]:
-    """Recompute u from full-training-set losses (unperturbed, eval mode)."""
-    c = loss_per_sample(forward(model, dataset.features), dataset.observed_labels,
-                        config.loss_kind)
+                  config: TrainConfig, losses: np.ndarray | None = None
+                  ) -> tuple[WeightShift, LossPartition]:
+    """Recompute u from full-training-set losses (unperturbed, eval mode).
+
+    `losses` are the per-sample losses of `model` on `dataset` when the
+    caller has them already; when None they are computed here.  A loss
+    vector whose length differs from u_prev's is rejected by the blend.
+    """
+    c = losses
+    if c is None:
+        c = loss_per_sample(forward(model, dataset.features), dataset.observed_labels,
+                            config.loss_kind)
     rw = config.reweight
     if rw.contamination_estimate is not None:
         gamma, mu = auto_tune_gamma(c, rw.contamination_estimate), 1.0
@@ -248,7 +266,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         if config.mode == "erm":
             pruned, precision, recall = 0, 0.0, 0.0
         else:
-            u, part = reweight_step(model, train, u, config)
+            u, part = reweight_step(model, train, u, config, losses=c)
             pruned, precision, recall = _pruned_metrics(part, train)
         val_acc = accuracy(model, validation.features, validation.observed_labels)
         test_acc = accuracy(model, test.features, test.clean_labels)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from rockrelax.errors import InvalidInputError
+from rockrelax.errors import InvalidInputError, NumericError
 from rockrelax.models import (
     MNIST3_WIDTHS,
     Architecture,
     LossKind,
     ModelState,
+    _all_finite,
+    _grad_logits,
+    _residual,
+    _softmax,
     fgsm_perturb,
     forward,
     grad_input,
@@ -23,6 +27,33 @@ ALL_KINDS = [LossKind.CCE, LossKind.MAE, LossKind.MSE]
 def small_model(rng, widths=(4, 5, 3)):
     arch = Architecture(widths)
     return ModelState(arch, rng.normal(0, 0.7, size=arch.num_params))
+
+
+def backprop_oracle(model, x, labels, sample_scale, kind, want_input_grad):
+    """Full backprop as written before the in-place gradient path.
+
+    Weight views are rebuilt from theta on every call, all parameter
+    gradients are formed and concatenated, and the input gradient comes
+    from the same pass.  Returns (flat parameter gradient, input gradient
+    or None).
+    """
+    mats = [model.theta[s].reshape(shape) for s, shape in model.architecture.layout()]
+    acts = [x]
+    h = x
+    for w in mats[:-1]:
+        h = np.maximum(h @ w, 0.0)
+        acts.append(h)
+    probs = _softmax(h @ mats[-1])
+    delta = _grad_logits(probs, _residual(probs, labels), kind) * sample_scale[:, None]
+    grads = [None] * len(mats)
+    for li in range(len(mats) - 1, -1, -1):
+        grads[li] = acts[li].T @ delta
+        if li > 0:
+            delta = (delta @ mats[li].T) * (acts[li] > 0)
+        elif want_input_grad:
+            delta = delta @ mats[0].T
+    flat = np.concatenate([g.ravel() for g in grads])
+    return flat, (delta if want_input_grad else None)
 
 
 def fd_grad(f, x0, step=1e-5):
@@ -163,6 +194,106 @@ class TestGradients:
         model = ModelState(arch, np.zeros(arch.num_params))
         np.testing.assert_array_equal(grad_input(model, np.ones(4), 0, LossKind.CCE),
                                       np.zeros(4))
+
+
+ORACLE_WIDTHS = [(4, 3), (4, 5, 3), (6, 8, 7, 3)]
+
+
+def weights_with_zeros(rng, n):
+    """Non-uniform sample weights with about a third pruned to exactly 0."""
+    w = rng.uniform(0.0, 2.0, size=n) / n
+    w[rng.random(n) < 1 / 3] = 0.0
+    return w
+
+
+class TestGradientsMatchOracle:
+    """The in-place parameter gradient and the input-only backprop are bit-exact."""
+
+    @pytest.mark.parametrize("widths", ORACLE_WIDTHS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_param_grad_equals_oracle(self, kind, widths):
+        rng = np.random.default_rng(20)
+        for nb in (1, 7, 32):
+            model = small_model(rng, widths)
+            x = rng.uniform(size=(nb, widths[0]))
+            y = rng.integers(0, 3, size=nb)
+            w = weights_with_zeros(rng, nb)
+            expected, _ = backprop_oracle(model, x, y, w, kind, want_input_grad=False)
+            assert np.array_equal(grad_params_weighted(model, x, y, w, kind), expected)
+            buf = np.full(model.architecture.num_params, np.nan)
+            assert np.array_equal(grad_params_weighted(model, x, y, w, kind, out=buf), expected)
+
+    @pytest.mark.parametrize("widths", ORACLE_WIDTHS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_input_grad_equals_oracle(self, kind, widths):
+        rng = np.random.default_rng(21)
+        for nb in (1, 5):
+            model = small_model(rng, widths)
+            x = rng.uniform(size=(nb, widths[0]))
+            y = rng.integers(0, 3, size=nb)
+            _, expected = backprop_oracle(model, x, y, np.ones(nb), kind, want_input_grad=True)
+            assert np.array_equal(grad_input(model, x, y, kind), expected)
+            _, first = backprop_oracle(model, x[:1], y[:1], np.ones(1), kind, want_input_grad=True)
+            assert np.array_equal(grad_input(model, x[0], int(y[0]), kind), first[0])
+
+    def test_out_is_returned_with_allocating_values(self):
+        rng = np.random.default_rng(22)
+        model = small_model(rng)
+        x, y, w = rng.uniform(size=(6, 4)), rng.integers(0, 3, size=6), rng.uniform(size=6)
+        buf = np.full(model.architecture.num_params, np.nan)
+        got = grad_params_weighted(model, x, y, w, LossKind.MAE, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, grad_params_weighted(model, x, y, w, LossKind.MAE))
+
+    def test_bad_out_rejected(self):
+        rng = np.random.default_rng(23)
+        model = small_model(rng)
+        size = model.architecture.num_params
+        x, y, w = rng.uniform(size=(3, 4)), rng.integers(0, 3, size=3), np.ones(3)
+        for bad in (np.empty(size, dtype=np.float32), np.empty(size + 1), np.empty((size, 1)),
+                    np.empty(2 * size)[::2], [0.0] * size, model.theta):
+            with pytest.raises(InvalidInputError):
+                grad_params_weighted(model, x, y, w, LossKind.CCE, out=bad)
+
+    def test_matrices_are_views_into_theta(self):
+        model = small_model(np.random.default_rng(24), (4, 5, 3))
+        mats = model.matrices()
+        assert [m.shape for m in mats] == [(4, 5), (5, 3)]
+        assert all(np.shares_memory(m, model.theta) for m in mats)
+        model.theta[-1] = 42.0
+        assert mats[-1][-1, -1] == 42.0
+
+
+def overflowing_model_and_batch(nb=3):
+    """All-ones linear model on features of 1e308: every logit overflows to inf."""
+    arch = Architecture((4, 3))
+    return ModelState(arch, np.ones(arch.num_params)), np.full((nb, 4), 1e308)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestNumericError:
+    def test_param_grad_raises_with_and_without_out(self):
+        model, x = overflowing_model_and_batch()
+        y, w = np.array([0, 1, 2]), np.ones(3)
+        with pytest.raises(NumericError):
+            grad_params_weighted(model, x, y, w, LossKind.CCE)
+        with pytest.raises(NumericError):
+            grad_params_weighted(model, x, y, w, LossKind.CCE,
+                                 out=np.empty(model.architecture.num_params))
+
+    def test_input_grad_raises(self):
+        model, x = overflowing_model_and_batch()
+        with pytest.raises(NumericError):
+            grad_input(model, x[0], 1, LossKind.CCE)
+        with pytest.raises(NumericError):
+            fgsm_perturb(model, x, np.array([0, 1, 2]), 0.1, LossKind.MSE)
+
+    def test_all_finite_is_exact(self):
+        assert _all_finite(np.array([1e200, -1e200, 1.0]))  # squares overflow, entries finite
+        assert _all_finite(np.zeros(0))
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not _all_finite(np.array([1.0, bad, 2.0]))
 
 
 class TestFgsm:

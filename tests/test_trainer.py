@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from rockrelax import trainer
 from rockrelax.data import ContaminatedDataset, inject_ncar, make_synthetic_blobs, split
-from rockrelax.errors import InvalidInputError
-from rockrelax.models import Architecture, LossKind
+from rockrelax.errors import InvalidInputError, NumericError
+from rockrelax.models import Architecture, LossKind, ModelState, forward, loss_per_sample
 from rockrelax.reweight import LossPartition, ReweightConfig, WeightShift, solve_reweight
 from rockrelax.trainer import (
     BUCKET_LABELS,
@@ -18,6 +19,7 @@ from rockrelax.trainer import (
     run,
     weight_histogram,
 )
+from test_models import backprop_oracle
 
 
 def contaminated_blobs(seed, rate=0.2, per_class=150, dim=6, separation=8.0):
@@ -47,6 +49,30 @@ def config(mode="rrm", **kw):
                 max_iterations=3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def gradient_step_oracle(model, dataset, u, config, rng):
+    """The per-batch SGD loop as written before the in-place update.
+
+    Every batch gets a fresh ModelState over the current theta, its
+    gradient is concatenated from per-layer products, and the update
+    allocates lr * scale * grad.
+    """
+    n, kind, eps = dataset.n, config.loss_kind, config.epsilon_train
+    weights = u.weights()
+    theta = model.theta.copy()
+    for _ in range(config.epochs_per_iteration):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            ids = order[start:start + config.batch_size]
+            work = ModelState(model.architecture, theta)
+            x, y = dataset.features[ids], dataset.observed_labels[ids]
+            if eps > 0:
+                _, gx = backprop_oracle(work, x, y, np.ones(ids.size), kind, want_input_grad=True)
+                x = x + eps * np.sign(gx)
+            grad, _ = backprop_oracle(work, x, y, weights[ids], kind, want_input_grad=False)
+            theta -= config.learning_rate * (n / ids.size) * grad
+    return model.with_theta(theta)
 
 
 class TestConfig:
@@ -110,6 +136,34 @@ class TestGradientStep:
         np.testing.assert_array_equal(m0.theta, before)
         assert not np.shares_memory(out.theta, m0.theta)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", [LossKind.CCE, LossKind.MAE, LossKind.MSE])
+    def test_bit_exact_vs_pre_change_loop(self, kind, eps):
+        train, _, _ = blob_splits(15, rate=0.3)
+        from rockrelax.models import init_params
+        arch = Architecture((6, 12, 8, 3))
+        cfg = config("arrm" if eps else "rrm", loss_kind=kind, epsilon_train=eps,
+                     batch_size=23)
+        assert train.n % cfg.batch_size != 0  # ragged last batch
+        c = np.random.default_rng(15).exponential(size=train.n)
+        u = solve_reweight(c, 0.5)  # pruned samples get weight 0, I_min gets more
+        assert np.any(u.weights() == 0) and np.ptp(u.weights()) > 0
+        m0 = init_params(arch, 15)
+        got = gradient_step(m0, train, u, cfg, np.random.default_rng(16))
+        want = gradient_step_oracle(m0, train, u, cfg, np.random.default_rng(16))
+        assert np.array_equal(got.theta, want.theta)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_raises(self):
+        arch = Architecture((6, 3))
+        feats = np.full((10, 6), 1e308)  # all-ones weights: every logit overflows
+        labels = np.arange(10) % 3
+        ds = ContaminatedDataset(feats, labels, labels, np.empty(0, dtype=int), 3)
+        with pytest.raises(NumericError):
+            gradient_step(ModelState(arch, np.ones(arch.num_params)), ds,
+                          WeightShift.zero(ds.n), config(), np.random.default_rng(0))
+
     def test_negative_weight_rejected(self):
         train, _, _ = blob_splits(1)
         from rockrelax.models import init_params
@@ -168,6 +222,32 @@ class TestReweightStep:
         c = loss_per_sample(forward(model, train.features), train.observed_labels, cfg.loss_kind)
         u_star = solve_reweight(c, cfg.reweight.gamma)
         np.testing.assert_allclose(u_next.shifts, 0.5 * u_star.shifts, atol=1e-15)
+
+    @pytest.mark.parametrize("reweight", [ReweightConfig(gamma=0.3, mu=0.5),
+                                          ReweightConfig(contamination_estimate=0.25)])
+    def test_given_losses_match_recomputed(self, reweight):
+        train, _, _ = blob_splits(6, rate=0.3)
+        from rockrelax.models import init_params
+        model = init_params(ARCH, 6)
+        cfg = config(reweight=reweight)
+        rng = np.random.default_rng(6)
+        u_prev = WeightShift(rng.dirichlet(np.ones(train.n)) - 1.0 / train.n)
+        c = loss_per_sample(forward(model, train.features), train.observed_labels, cfg.loss_kind)
+        u_a, part_a = reweight_step(model, train, u_prev, cfg)
+        u_b, part_b = reweight_step(model, train, u_prev, cfg, losses=c)
+        assert np.array_equal(u_a.shifts, u_b.shifts)
+        assert (part_a.c_min, part_a.gamma) == (part_b.c_min, part_b.gamma)
+        for name in ("i_min", "i_mid", "i_big", "chi"):
+            assert np.array_equal(getattr(part_a, name), getattr(part_b, name))
+        assert part_a.chi.size > 0
+
+    def test_losses_of_wrong_length_rejected(self):
+        train, _, _ = blob_splits(6)
+        from rockrelax.models import init_params
+        model = init_params(ARCH, 6)
+        for bad in (np.ones(train.n - 1), np.ones(train.n + 1), np.ones((train.n, 1))):
+            with pytest.raises(InvalidInputError):
+                reweight_step(model, train, WeightShift.zero(train.n), config(), losses=bad)
 
     def test_auto_tune_prunes_requested_fraction(self):
         train, _, _ = blob_splits(5)
@@ -231,6 +311,21 @@ class TestRun:
         assert its == sorted(its)
         for r in rec.iterations:
             assert sum(r.hist_contaminated) + sum(r.hist_clean) == train.n
+
+    @pytest.mark.parametrize("mode,eps", [("erm", 0.0), ("rrm", 0.0), ("arrm", 0.1)])
+    def test_three_forward_passes_per_iteration(self, mode, eps, monkeypatch):
+        # one full-training-set loss pass, then validation and test accuracy
+        calls = []
+
+        def counting_forward(model, features):
+            calls.append(features.shape[0])
+            return forward(model, features)
+
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        train, val, test = blob_splits(16)
+        _, rec = run(train, val, test, config(mode, epsilon_train=eps), ARCH)
+        assert len(calls) == 3 * len(rec.iterations)
+        assert calls[:3] == [train.n, val.n, test.n]
 
     def test_early_stopping_on_validation_plateau(self):
         train, val, test = blob_splits(11)
