@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -196,12 +197,15 @@ def _run_one_seed(doc: dict, seed: int, mode_override: str | None,
     train_part, val_part = split(train_ds, (1.0 - val_frac, val_frac), seed=seed)
     config = _train_config(doc, seed, mode_override)
     arch = Architecture(tuple(_require(doc, "architecture")))
-    model, record = run(train_part, val_part, test_ds, config, arch)
+    _, record = run(train_part, val_part, test_ds, config, arch)
+    # the checkpoint and the FGSM sweep use the model the summary reports on
+    model = record.peak_model
 
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(seed_dir / "checkpoint.npz", model, seed=seed,
-                    extra={"mode": config.mode, "version": __version__})
+                    extra={"mode": config.mode, "version": __version__,
+                           "model": "peak_validation"})
     record.to_csv(seed_dir / "record.csv")
     summary = record.summary()
     summary["seed"] = seed
@@ -212,6 +216,19 @@ def _run_one_seed(doc: dict, seed: int, mode_override: str | None,
     with open(seed_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, default=str)
     return summary
+
+
+def _failure(seed: int, exc: BaseException) -> dict:
+    """A failed seed's entry in aggregate.json.
+
+    An exception re-raised from a pool worker carries the worker's
+    formatted traceback on its cause (concurrent.futures'
+    `_RemoteTraceback.tb`); that one is kept, since the local traceback
+    only shows the re-raise.
+    """
+    remote = getattr(exc.__cause__, "tb", None)
+    tb = remote if isinstance(remote, str) else "".join(traceback.format_exception(exc))
+    return {"seed": seed, "type": type(exc).__name__, "message": str(exc), "traceback": tb}
 
 
 def cmd_train(args) -> int:
@@ -233,16 +250,19 @@ def cmd_train(args) -> int:
                 try:
                     summaries.append(fut.result())
                 except Exception as exc:  # per-seed isolation
-                    failures.append((seed, str(exc)))
+                    failures.append(_failure(seed, exc))
     else:
         for seed in seeds:
             try:
                 summaries.append(_run_one_seed(doc, seed, args.mode, epsilon_test, out_dir))
             except Exception as exc:
-                failures.append((seed, str(exc)))
+                failures.append(_failure(seed, exc))
 
-    for seed, msg in failures:
-        print(f"seed {seed} failed: {msg}", file=sys.stderr)
+    for failure in failures:
+        # with no aggregate.json to hold it, the traceback goes to stderr
+        detail = "" if summaries else "\n" + failure["traceback"]
+        print(f"seed {failure['seed']} failed: {failure['type']}: {failure['message']}{detail}",
+              file=sys.stderr)
     if summaries:
         peaks = np.array([s["test_at_peak_validation"] for s in summaries], dtype=float)
         maxes = np.array([s["max_test_accuracy"] for s in summaries], dtype=float)
@@ -255,7 +275,8 @@ def cmd_train(args) -> int:
             "test_at_peak_validation_std": float(peaks.std()),
             "max_test_accuracy_mean": float(maxes.mean()),
             "max_test_accuracy_std": float(maxes.std()),
-            "failed_seeds": [s for s, _ in failures],
+            "failed_seeds": [f["seed"] for f in failures],
+            "failures": failures,
             "version": __version__,
         }
         if epsilon_test:

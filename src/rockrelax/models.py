@@ -35,14 +35,24 @@ class LossKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer widths of a fully-connected ReLU net; last width is the class count."""
+    """Layer widths of a fully-connected ReLU net; last width is the class count.
+
+    The parameter count and the theta layout are computed once, at
+    construction.
+    """
 
     widths: tuple[int, ...]
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise InvalidInputError(f"need at least input and output widths >= 1, got {self.widths}")
+        out, offset = [], 0
+        for a, b in zip(self.widths[:-1], self.widths[1:]):
+            out.append((slice(offset, offset + a * b), (a, b)))
+            offset += a * b
+        object.__setattr__(self, "_layout", tuple(out))
 
     @property
     def input_dim(self) -> int:
@@ -54,15 +64,11 @@ class Architecture:
 
     @property
     def num_params(self) -> int:
-        return sum(a * b for a, b in zip(self.widths[:-1], self.widths[1:]))
+        return self._layout[-1][0].stop
 
-    def layout(self) -> list[tuple[slice, tuple[int, int]]]:
+    def layout(self) -> tuple[tuple[slice, tuple[int, int]], ...]:
         """(slice into theta, weight-matrix shape) per layer."""
-        out, offset = [], 0
-        for a, b in zip(self.widths[:-1], self.widths[1:]):
-            out.append((slice(offset, offset + a * b), (a, b)))
-            offset += a * b
-        return out
+        return self._layout
 
 
 @dataclass(frozen=True)
@@ -110,71 +116,18 @@ def init_params(architecture: Architecture, seed: int) -> ModelState:
     return ModelState(architecture, np.concatenate(chunks))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward_pass(model: ModelState, x: np.ndarray):
-    """Return (weight matrices, activations per layer incl. input, softmax probs)."""
-    if x.ndim != 2 or x.shape[1] != model.architecture.input_dim:
+def _check_features(architecture: Architecture, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != architecture.input_dim:
         raise InvalidInputError(
             f"feature dim {x.shape[-1] if x.ndim else '?'} does not match "
-            f"input width {model.architecture.input_dim}"
+            f"input width {architecture.input_dim}"
         )
-    mats = model.matrices()
-    acts = [x]
-    h = x
-    for w in mats[:-1]:
-        h = h @ w
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    return mats, acts, _softmax(h @ mats[-1])
 
 
-def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix (rows sum to 1)."""
-    features = np.asarray(features, dtype=float)
-    return _forward_pass(model, features)[2]
-
-
-def _residual(probs: np.ndarray, labels) -> np.ndarray:
-    """probs minus the one-hot labels: 1 is subtracted at each label's column."""
-    labels = np.asarray(labels)
-    k = probs.shape[1]
-    if np.any(labels < 0) or np.any(labels >= k):
+def _check_labels(labels: np.ndarray, k: int) -> None:
+    # size first: min() of an empty array raises ValueError
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise InvalidInputError(f"labels must lie in [0, {k})")
-    r = probs.copy()
-    r[np.arange(probs.shape[0]), labels] -= 1.0
-    return r
-
-
-def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
-    """Per-sample loss of softmax probabilities against integer labels."""
-    probs = np.asarray(probs, dtype=float)
-    r = _residual(probs, labels)  # also rejects out-of-range labels
-    if kind is LossKind.CCE:
-        p_y = probs[np.arange(probs.shape[0]), np.asarray(labels)]
-        return -np.log(np.maximum(p_y, CCE_CLAMP))
-    if kind is LossKind.MAE:
-        return np.abs(r).sum(axis=1)
-    if kind is LossKind.MSE:
-        return (r ** 2).sum(axis=1)
-    raise InvalidInputError(f"unknown loss kind {kind!r}")
-
-
-def _grad_logits(probs: np.ndarray, r: np.ndarray, kind: LossKind) -> np.ndarray:
-    """dJ/dlogits for each loss kind from the residual r = probs - onehot(y)."""
-    if kind is LossKind.CCE:
-        return r
-    if kind is LossKind.MAE:
-        g = np.sign(r)
-    elif kind is LossKind.MSE:
-        g = 2.0 * r
-    else:
-        raise InvalidInputError(f"unknown loss kind {kind!r}")
-    return probs * (g - (probs * g).sum(axis=1, keepdims=True))
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -187,32 +140,84 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a @ a)) or bool(np.all(np.isfinite(a)))
 
 
-def _backprop(model: ModelState, x: np.ndarray, labels: np.ndarray, kind: LossKind,
-              sample_scale: np.ndarray | None = None, grad_out: np.ndarray | None = None):
-    """Backpropagate sum_i sample_scale_i * J_i (scale 1 when None).
+def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
+    """Unchecked forward and backward pass; the public functions validate first.
 
-    With `grad_out`, a flat theta-sized buffer, each layer's parameter
-    gradient is written into its slice and the chain stops at the first
-    layer.  Without it no parameter gradient is formed, the chain runs on
-    to the input, and the input gradient is returned.
+    `mats` are the weight matrices, `x` a float64 (n, input_dim) batch and
+    `labels` integers in [0, k) (a single label broadcasts over the rows).
+    With `labels` None the softmax probabilities are returned.  Otherwise
+    the chain backpropagates sum_i scale_i * J_i (scale 1 when None): with
+    `grad_views`, one array per weight matrix and of its shape, each
+    layer's parameter gradient is written into its view, the chain stops
+    at the first layer and None is returned; without, no parameter
+    gradient is formed and the input gradient is returned.
     """
-    mats, acts, probs = _forward_pass(model, x)
-    delta = _grad_logits(probs, _residual(probs, labels), kind)
-    if sample_scale is not None:
-        delta *= sample_scale[:, None]
-    end = model.architecture.num_params
-    for li in range(len(mats) - 1, -1, -1):
-        w = mats[li]
-        if grad_out is not None:
-            start = end - w.size
-            np.matmul(acts[li].T, delta, out=grad_out[start:end].reshape(w.shape))
-            end = start
-        if li > 0:
-            delta = delta @ w.T
-            delta *= acts[li] > 0
-        elif grad_out is None:
-            return delta @ w.T
+    acts = [x]
+    h = x
+    for w in mats[:-1]:
+        h = h @ w
+        np.maximum(h, 0.0, out=h)
+        if labels is not None:
+            acts.append(h)
+    # softmax, in place on the fresh logits
+    probs = h @ mats[-1]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    if labels is None:
+        return probs
+    rows = np.arange(x.shape[0])
+    # dJ/dlogits from the residual probs - onehot(labels)
+    if kind is LossKind.CCE:
+        delta = probs
+        delta[rows, labels] -= 1.0
+    else:
+        g = probs.copy()
+        g[rows, labels] -= 1.0
+        if kind is LossKind.MAE:
+            np.sign(g, out=g)
+        elif kind is LossKind.MSE:
+            g *= 2.0
+        else:
+            raise InvalidInputError(f"unknown loss kind {kind!r}")
+        g -= (probs * g).sum(axis=1, keepdims=True)
+        g *= probs
+        delta = g
+    if scale is not None:
+        delta *= scale[:, None]
+    for li in range(len(mats) - 1, 0, -1):
+        if grad_views is not None:
+            np.matmul(acts[li].T, delta, out=grad_views[li])
+        delta = delta @ mats[li].T
+        delta *= acts[li] > 0
+    if grad_views is None:
+        return delta @ mats[0].T
+    np.matmul(x.T, delta, out=grad_views[0])
     return None
+
+
+def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
+    """Class-probability matrix (rows sum to 1)."""
+    features = np.asarray(features, dtype=float)
+    _check_features(model.architecture, features)
+    return _backprop(model.matrices(), features, None, None)
+
+
+def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
+    """Per-sample loss of softmax probabilities against integer labels."""
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels)
+    _check_labels(labels, probs.shape[1])
+    rows = np.arange(probs.shape[0])
+    if kind is LossKind.CCE:
+        return -np.log(np.maximum(probs[rows, labels], CCE_CLAMP))
+    r = probs.copy()  # the caller's array is left as it is
+    r[rows, labels] -= 1.0
+    if kind is LossKind.MAE:
+        return np.abs(r).sum(axis=1)
+    if kind is LossKind.MSE:
+        return (r ** 2).sum(axis=1)
+    raise InvalidInputError(f"unknown loss kind {kind!r}")
 
 
 def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
@@ -224,9 +229,15 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
     shape (num_params,) that does not overlap theta) when given, else into
     a new array; that array is returned.
     """
-    if not np.shape(labels) == np.shape(weights) == (np.shape(x)[0],):
+    arch = model.architecture
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=float)
+    _check_features(arch, x)
+    if not labels.shape == weights.shape == (x.shape[0],):
         raise InvalidInputError("features, labels and weights disagree on sample count")
-    size = model.architecture.num_params
+    _check_labels(labels, arch.num_classes)
+    size = arch.num_params
     if out is None:
         out = np.empty(size)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -234,8 +245,8 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
         raise InvalidInputError(f"out must be a C-contiguous float64 array of shape ({size},)")
     elif np.may_share_memory(out, model.theta):
         raise InvalidInputError("out must not overlap the model's theta")
-    _backprop(model, np.asarray(x, dtype=float), labels, kind,
-              sample_scale=np.asarray(weights, dtype=float), grad_out=out)
+    _backprop(model.matrices(), x, labels, kind, scale=weights,
+              grad_views=[out[s].reshape(shape) for s, shape in arch.layout()])
     if not _all_finite(out):
         raise NumericError("non-finite parameter gradient")
     return out
@@ -245,8 +256,10 @@ def grad_input(model: ModelState, x: np.ndarray, y: int, kind: LossKind) -> np.n
     """Gradient of the per-sample loss with respect to the input features."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     labels = np.atleast_1d(np.asarray(y))
-    gx = _backprop(model, x, labels, kind)
-    if not np.all(np.isfinite(gx)):
+    _check_features(model.architecture, x)
+    _check_labels(labels, model.architecture.num_classes)
+    gx = _backprop(model.matrices(), x, labels, kind)
+    if not _all_finite(gx.ravel()):
         raise NumericError("non-finite input gradient")
     return gx[0] if gx.shape[0] == 1 and np.ndim(y) == 0 else gx
 
@@ -262,7 +275,11 @@ def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: Loss
     x = np.asarray(x, dtype=float)
     if epsilon == 0:
         return x.copy()
-    return x + epsilon * np.sign(grad_input(model, x, y, kind))
+    step = grad_input(model, x, y, kind)  # a fresh array, so it is reused in place
+    np.sign(step, out=step)
+    step *= epsilon
+    step += x
+    return step
 
 
 CHECKPOINT_VERSION = 1

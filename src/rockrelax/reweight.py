@@ -13,6 +13,7 @@ probability mass is spread uniformly over the minimum-loss samples.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,16 +190,19 @@ def blend_weights(u_prev: WeightShift, u_star: WeightShift, mu: float) -> Weight
 def auto_tune_gamma(c, c_prime: float) -> float:
     """Set gamma so that at least a fraction c_prime of samples is pruned.
 
-    Picks the largest distinct loss value ell such that the fraction of
-    losses strictly above ell is >= c_prime (up to FEAS_TOL), then returns
-    ell - c_min.  Tied losses are kept or pruned together; where meeting
-    c_prime would cut through a tie, ell moves below the tie, so ties are
-    resolved toward more pruning.  Degenerate instances (the quantile
-    collapses onto the minimum loss) return a tiny positive floor so gamma
-    stays valid.
+    Picks the largest distinct loss value ell above c_min for which
+    `partition_losses(c, ell - c_min)` prunes a fraction >= c_prime (up to
+    FEAS_TOL), then returns ell - c_min.  Pruning is counted with the
+    partition's own rule, so losses within PARTITION_TOL above ell (which
+    the partition puts in i_big) are not counted as pruned.  Tied losses
+    are kept or pruned together; where meeting c_prime would cut through a
+    tie, ell moves below the tie, so ties are resolved toward more pruning.
+    When no such ell exists (the quantile collapses onto the minimum loss)
+    a tiny positive floor is returned so gamma stays valid.
 
-    Cost is O(N log N): one sort, after which the count strictly above each
-    distinct value is read off the position of its last copy.
+    Cost is O(N log N): one sort, then a bisection over the distinct
+    values whose every step finds the pruned count by bisecting the sorted
+    losses.
     """
     c = _as_loss_vector(c)
     if not 0 <= c_prime <= 1:
@@ -207,14 +211,26 @@ def auto_tune_gamma(c, c_prime: float) -> float:
     s = np.sort(c)
     c_min = float(s[0])
     floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
-    # Index of the last copy of each distinct value, i.e.
-    # searchsorted(s, value, side="right") - 1.
+    # Index of the last copy of each distinct value.
     last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    feasible = np.flatnonzero((n - 1 - last) / n >= c_prime - FEAS_TOL)
-    if feasible.size == 0:
-        return floor
-    gamma = float(s[last[feasible[-1]]]) - c_min
-    return gamma if gamma > 0 else floor
+
+    def gamma_at(j: int) -> float:
+        return float(s[last[j]]) - c_min
+
+    def too_few_pruned(j: int) -> bool:
+        upper = c_min + gamma_at(j)
+        # partition_losses prunes v iff v - upper > tol (its other test,
+        # v > c_min + tol, then holds as upper > c_min); the test is monotone
+        # in v, so the pruned losses are a suffix of s
+        first = bisect.bisect_left(s, True, key=lambda v: v - upper > PARTITION_TOL)
+        return (n - first) / n < c_prime - FEAS_TOL
+
+    # Candidates are the distinct values above c_min, j = 1 .. J-1.  The
+    # pruned count can only fall as j grows, so the first candidate that
+    # prunes too few sits at position j of range(1, J) exactly when j is
+    # the largest candidate that prunes enough (j = 0: none does).
+    j = bisect.bisect_left(range(1, last.size), True, key=too_few_pruned)
+    return gamma_at(j) if j >= 1 else floor
 
 
 def reweight_objective(c, u: WeightShift, gamma: float) -> float:

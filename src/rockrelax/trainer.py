@@ -107,13 +107,19 @@ class IterationRecord:
 
 @dataclass
 class RunRecord:
-    """Per-iteration metrics plus run-level summary bookkeeping."""
+    """Per-iteration metrics plus run-level summary bookkeeping.
+
+    `peak_model` is the model whose test accuracy `test_at_peak_validation`
+    reports.  It is kept by reference (gradient_step never writes to the
+    model it is given) and is not part of the summary.
+    """
 
     config: dict
     iterations: list[IterationRecord] = field(default_factory=list)
     test_at_peak_validation: float = float("nan")
     max_test_accuracy: float = float("nan")
     peak_validation_accuracy: float = float("nan")
+    peak_model: ModelState | None = field(default=None, repr=False, compare=False)
 
     def append(self, rec: IterationRecord):
         if self.iterations and rec.iteration <= self.iterations[-1].iteration:
@@ -203,13 +209,15 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
     eps = config.epsilon_train
     for _ in range(config.epochs_per_iteration):
         order = rng.permutation(n)
+        labels, sample_weights = dataset.observed_labels[order], weights[order]
         for start in range(0, n, config.batch_size):
-            ids = order[start:start + config.batch_size]
+            batch = slice(start, start + config.batch_size)
+            ids = order[batch]
             x = dataset.features[ids]
-            y = dataset.observed_labels[ids]
+            y = labels[batch]
             if eps > 0:
                 x = fgsm_perturb(work, x, y, eps, config.loss_kind)
-            grad_params_weighted(work, x, y, weights[ids], config.loss_kind, out=grad)
+            grad_params_weighted(work, x, y, sample_weights[batch], config.loss_kind, out=grad)
             grad *= config.learning_rate * (n / ids.size)
             theta -= grad
     return model.with_theta(theta)
@@ -252,7 +260,8 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
     """Full training loop with metric capture and validation-based early stop.
 
     Test accuracy is reported both at peak validation accuracy and as the
-    maximum over iterations; the model returned is the final one.
+    maximum over iterations; the model returned is the final one, and
+    `record.peak_model` is the one at peak validation.
     """
     model = init_params(architecture, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -291,11 +300,13 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         if np.isnan(val_acc):
             # no validation split: fall back to the final model for reporting
             record.test_at_peak_validation = test_acc
+            record.peak_model = model
             continue
         if val_acc > best_val:
             best_val, stale = val_acc, 0
             record.peak_validation_accuracy = val_acc
             record.test_at_peak_validation = test_acc
+            record.peak_model = model
         else:
             stale += 1
             if stale >= config.patience:

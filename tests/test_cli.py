@@ -1,11 +1,16 @@
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rockrelax.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _train_config, main
+from rockrelax import cli
+from rockrelax.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure, _train_config, main
 from rockrelax.data import load_cache
-from rockrelax.trainer import TrainConfig
+from rockrelax.errors import NumericError
+from rockrelax.models import load_checkpoint
+from rockrelax.trainer import TrainConfig, accuracy
 
 
 def write_json(path, doc):
@@ -111,6 +116,22 @@ class TestTrain:
         agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
         assert agg["mode"] == "erm" and agg["seeds"] == [5]
 
+    def test_checkpoint_is_the_reported_model(self, caches):
+        doc = train_config(caches)
+        # with these settings validation peaks before the last iteration on both seeds
+        doc["train"].update(learning_rate=0.5, max_iterations=4)
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_OK
+        test_ds, _ = load_cache(caches / "test_cache.npz")
+        for seed in (0, 1):
+            seed_dir = caches / "runs" / "rrm" / f"seed_{seed}"
+            summary = json.loads((seed_dir / "summary.json").read_text())
+            model, saved_seed, meta = load_checkpoint(seed_dir / "checkpoint.npz")
+            assert saved_seed == seed and meta["model"] == "peak_validation"
+            reloaded = accuracy(model, test_ds.features, test_ds.clean_labels)
+            assert reloaded == summary["test_at_peak_validation"]
+            assert summary["epsilon_test_accuracy"]["0.0"] == reloaded
+            assert summary["final_test_accuracy"] != reloaded
+
     def test_empty_train_section_keeps_dataclass_defaults(self):
         assert _train_config({"train": {}}, 7, None) == TrainConfig(seed=7)
         assert _train_config({"train": {}}, 7, "erm") == TrainConfig(mode="erm", seed=7)
@@ -119,6 +140,53 @@ class TestTrain:
         doc = train_config(tmp_path)
         cfg = write_json(tmp_path / "train.json", doc)
         assert main(["train", "--config", cfg]) != EXIT_OK
+
+
+def failing_seed_one(real_run):
+    def run(train, validation, test, config, architecture):
+        if config.seed == 1:
+            raise NumericError("diverged on purpose")
+        return real_run(train, validation, test, config, architecture)
+    return run
+
+
+class TestFailedSeeds:
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="pool workers see the patched trainer only when forked")),
+    ])
+    def test_one_failing_seed_keeps_its_cause(self, caches, monkeypatch, capsys, workers):
+        monkeypatch.setattr(cli, "run", failing_seed_one(cli.run))
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg, "--workers", str(workers)]) == EXIT_OK
+        agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
+        assert agg["seeds"] == [0] and agg["failed_seeds"] == [1]
+        [failure] = agg["failures"]
+        assert failure["seed"] == 1
+        assert failure["type"] == "NumericError"
+        assert failure["message"] == "diverged on purpose"
+        # the frame that raised, from the worker when there is a pool
+        assert "in run\n" in failure["traceback"]
+        assert 'raise NumericError("diverged on purpose")' in failure["traceback"]
+        assert "seed 1 failed: NumericError: diverged on purpose" in capsys.readouterr().err
+
+    def test_all_seeds_failing_prints_tracebacks(self, caches, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", failing_seed_one(cli.run))
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg, "--seed", "1"]) != EXIT_OK
+        assert "Traceback" in capsys.readouterr().err
+        assert not (caches / "runs" / "rrm" / "aggregate.json").exists()
+
+    def test_worker_traceback_is_kept(self):
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            exc = pool.submit(int, "not a number").exception()
+        failure = _failure(3, exc)
+        assert failure["type"] == "ValueError"
+        assert failure["traceback"] == exc.__cause__.tb
+        assert "invalid literal" in failure["traceback"]
 
 
 class TestVerify:

@@ -8,9 +8,6 @@ from rockrelax.models import (
     LossKind,
     ModelState,
     _all_finite,
-    _grad_logits,
-    _residual,
-    _softmax,
     fgsm_perturb,
     forward,
     grad_input,
@@ -27,6 +24,38 @@ ALL_KINDS = [LossKind.CCE, LossKind.MAE, LossKind.MSE]
 def small_model(rng, widths=(4, 5, 3)):
     arch = Architecture(widths)
     return ModelState(arch, rng.normal(0, 0.7, size=arch.num_params))
+
+
+# The oracle's softmax, residual and logit gradient are copies of the
+# package's helpers as they stood before the single backprop kernel, so the
+# reference cannot move with the code it checks.
+
+def _softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _residual(probs, labels):
+    labels = np.asarray(labels)
+    k = probs.shape[1]
+    if np.any(labels < 0) or np.any(labels >= k):
+        raise InvalidInputError(f"labels must lie in [0, {k})")
+    r = probs.copy()
+    r[np.arange(probs.shape[0]), labels] -= 1.0
+    return r
+
+
+def _grad_logits(probs, r, kind):
+    if kind is LossKind.CCE:
+        return r
+    if kind is LossKind.MAE:
+        g = np.sign(r)
+    elif kind is LossKind.MSE:
+        g = 2.0 * r
+    else:
+        raise InvalidInputError(f"unknown loss kind {kind!r}")
+    return probs * (g - (probs * g).sum(axis=1, keepdims=True))
 
 
 def backprop_oracle(model, x, labels, sample_scale, kind, want_input_grad):
@@ -262,6 +291,123 @@ class TestGradientsMatchOracle:
         assert all(np.shares_memory(m, model.theta) for m in mats)
         model.theta[-1] = 42.0
         assert mats[-1][-1, -1] == 42.0
+
+
+def forward_oracle(model, x):
+    """Softmax probabilities through the pre-kernel forward pass."""
+    h = x
+    mats = [model.theta[sl].reshape(shape) for sl, shape in model.architecture.layout()]
+    for w in mats[:-1]:
+        h = np.maximum(h @ w, 0.0)
+    return _softmax(h @ mats[-1])
+
+
+class TestForwardAndLossMatchOracle:
+    @pytest.mark.parametrize("widths", ORACLE_WIDTHS)
+    def test_forward_equals_oracle(self, widths):
+        rng = np.random.default_rng(25)
+        for nb in (1, 7, 32):
+            model = small_model(rng, widths)
+            x = rng.uniform(size=(nb, widths[0]))
+            assert np.array_equal(forward(model, x), forward_oracle(model, x))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_loss_equals_oracle(self, kind):
+        rng = np.random.default_rng(26)
+        probs = rng.dirichlet(np.ones(3), size=40)
+        labels = rng.integers(0, 3, size=40)
+        r = _residual(probs, labels)
+        expected = {LossKind.CCE: -np.log(np.maximum(probs[np.arange(40), labels], 1e-12)),
+                    LossKind.MAE: np.abs(r).sum(axis=1),
+                    LossKind.MSE: (r ** 2).sum(axis=1)}[kind]
+        assert np.array_equal(loss_per_sample(probs, labels, kind), expected)
+
+
+def read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class TestCallerArraysUntouched:
+    """Every public call leaves the caller's arrays as they were."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_read_only_inputs_accepted_and_unchanged(self, kind):
+        rng = np.random.default_rng(27)
+        model = small_model(rng, (4, 5, 3))
+        x, y = rng.uniform(size=(6, 4)), rng.integers(0, 3, size=6)
+        w = weights_with_zeros(rng, 6)
+        probs = forward(model, x)
+        saved = [a.copy() for a in (model.theta, x, y, w, probs)]
+        # a write into any of these raises ValueError instead of passing silently
+        read_only(model.theta, x, y, w, probs)
+        forward(model, x)
+        loss_per_sample(probs, y, kind)
+        grad_params_weighted(model, x, y, w, kind)
+        grad_params_weighted(model, x, y, w, kind, out=np.empty(model.architecture.num_params))
+        grad_input(model, x, y, kind)
+        grad_input(model, x[0], int(y[0]), kind)
+        for eps in (0.0, 0.1):
+            perturbed = fgsm_perturb(model, x, y, eps, kind)
+            assert not np.shares_memory(perturbed, x)
+        for before, after in zip(saved, (model.theta, x, y, w, probs)):
+            assert np.array_equal(before, after)
+
+    def test_results_are_fresh_arrays(self):
+        rng = np.random.default_rng(28)
+        model = small_model(rng)
+        x, y = rng.uniform(size=(5, 4)), rng.integers(0, 3, size=5)
+        a, b = forward(model, x), forward(model, x)
+        assert not np.shares_memory(a, b)
+        g1, g2 = grad_input(model, x, y, LossKind.MSE), grad_input(model, x, y, LossKind.MSE)
+        assert not np.shares_memory(g1, g2)
+
+
+class TestEdgeValidation:
+    """Labels are range-checked once, at each public entry point."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_out_of_range_label_rejected(self, kind, bad):
+        rng = np.random.default_rng(29)
+        model = small_model(rng)  # 3 classes
+        x = rng.uniform(size=(4, 4))
+        y = np.array([0, 1, bad, 2])
+        with pytest.raises(InvalidInputError):
+            grad_params_weighted(model, x, y, np.ones(4), kind)
+        with pytest.raises(InvalidInputError):
+            grad_params_weighted(model, x, y, np.ones(4), kind,
+                                 out=np.empty(model.architecture.num_params))
+        with pytest.raises(InvalidInputError):
+            grad_input(model, x, y, kind)
+        with pytest.raises(InvalidInputError):
+            grad_input(model, x[0], bad, kind)
+        with pytest.raises(InvalidInputError):
+            fgsm_perturb(model, x, y, 0.1, kind)
+        with pytest.raises(InvalidInputError):
+            loss_per_sample(forward(model, x), y, kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_row_batch(self, kind):
+        model = small_model(np.random.default_rng(30), (4, 5, 3))
+        x, y, w = np.zeros((0, 4)), np.zeros(0, dtype=int), np.zeros(0)
+        assert forward(model, x).shape == (0, 3)
+        grad = grad_params_weighted(model, x, y, w, kind)
+        assert grad.shape == (model.architecture.num_params,) and np.all(grad == 0)
+        assert grad_input(model, x, y, kind).shape == (0, 4)
+        assert fgsm_perturb(model, x, y, 0.1, kind).shape == (0, 4)
+        assert loss_per_sample(np.zeros((0, 3)), y, kind).shape == (0,)
+
+    def test_unknown_kind_rejected(self):
+        rng = np.random.default_rng(31)
+        model = small_model(rng)
+        x, y = rng.uniform(size=(2, 4)), np.array([0, 1])
+        for call in (lambda: grad_params_weighted(model, x, y, np.ones(2), "cce"),
+                     lambda: grad_input(model, x, y, "mse"),
+                     lambda: loss_per_sample(forward(model, x), y, "mae")):
+            with pytest.raises(InvalidInputError):
+                call()
 
 
 def overflowing_model_and_batch(nb=3):

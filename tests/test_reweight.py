@@ -27,16 +27,18 @@ def random_shift(rng, n):
 
 
 def _scan_oracle(c, c_prime):
-    """Reference auto_tune_gamma: scan distinct losses from the top, recounting each time."""
+    """Reference auto_tune_gamma: scan distinct losses from the top, partitioning at each.
+
+    A candidate ell is accepted when partition_losses(c, ell - c_min) prunes
+    enough; the minimum itself (gamma 0) is never a candidate.
+    """
     c = np.asarray(c, dtype=float)
-    n = c.size
     c_min = float(c.min())
     floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
     for ell in np.unique(c)[::-1]:
-        frac_above = np.count_nonzero(c > ell) / n
-        if frac_above >= c_prime - FEAS_TOL:
-            gamma = float(ell) - c_min
-            return gamma if gamma > 0 else floor
+        gamma = float(ell) - c_min
+        if gamma > 0 and partition_losses(c, gamma).pruned_fraction >= c_prime - FEAS_TOL:
+            return gamma
     return floor
 
 
@@ -66,6 +68,12 @@ loss_vectors = st.one_of(
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
     st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60),
 ).map(np.array)
+# Small integers nudged by offsets at and around PARTITION_TOL (1e-9): distinct
+# values that the partition treats as tied to a breakpoint.
+NEAR_TIE_OFFSETS = (0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 3e-9, -5e-10)
+near_tied_vectors = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(NEAR_TIE_OFFSETS)), min_size=1, max_size=40,
+).map(lambda pairs: np.array([a + d for a, d in pairs]))
 fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -219,10 +227,28 @@ class TestAutoTune:
         with pytest.raises(InvalidInputError):
             auto_tune_gamma([1.0, 2.0], 1.5)
 
-    @given(loss_vectors, fractions)
+    @given(st.one_of(loss_vectors, near_tied_vectors), fractions)
     @settings(max_examples=1000, deadline=None)
     def test_matches_scan_oracle_exactly(self, c, c_prime):
         assert auto_tune_gamma(c, c_prime) == _scan_oracle(c, c_prime)
+
+    def test_near_tie_above_threshold_counts_as_kept(self):
+        # 1 + 5e-10 is within PARTITION_TOL of the breakpoint 1, so gamma = 1
+        # would prune only the loss 2; the tie moves ell below it
+        c = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
+        gamma = auto_tune_gamma(c, 0.5)
+        assert partition_losses(c, gamma).pruned_fraction >= 0.5
+        assert gamma == GAMMA_FLOOR_SCALE
+
+    @given(near_tied_vectors, st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_guarantee_on_near_ties(self, c, share):
+        # ask for a share of what the smallest gamma (the floor) prunes, so
+        # the request can always be met
+        floor = GAMMA_FLOOR_SCALE * max(1.0, abs(float(c.min())))
+        c_prime = share * partition_losses(c, floor).pruned_fraction
+        gamma = auto_tune_gamma(c, c_prime)
+        assert partition_losses(c, gamma).pruned_fraction >= c_prime - FEAS_TOL
 
     def test_guarantee_at_one_million(self):
         rng = np.random.default_rng(16)

@@ -13,6 +13,7 @@ from rockrelax.trainer import (
     BUCKET_LABELS,
     TrainConfig,
     _pruned_metrics,
+    accuracy,
     evaluate_fgsm_sweep,
     gradient_step,
     reweight_step,
@@ -326,6 +327,23 @@ class TestRun:
         _, rec = run(train, val, test, config(mode, epsilon_train=eps), ARCH)
         assert len(calls) == 3 * len(rec.iterations)
         assert calls[:3] == [train.n, val.n, test.n]
+
+    def test_peak_model_is_the_reported_one(self):
+        train, val, test = blob_splits(17, rate=0.3)
+        model, rec = run(train, val, test, config(max_iterations=5, learning_rate=0.3), ARCH)
+        peak = max(rec.iterations, key=lambda r: r.validation_accuracy)  # first of equals
+        assert peak.iteration < len(rec.iterations)  # so the final model is another one
+        assert rec.peak_model is not model
+        assert accuracy(rec.peak_model, test.features, test.clean_labels) \
+            == rec.test_at_peak_validation == peak.test_accuracy
+        assert "peak_model" not in rec.summary()
+
+    def test_without_validation_the_final_model_is_reported(self):
+        train, _, test = blob_splits(18)
+        empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
+                                    np.zeros(0, dtype=int), np.empty(0, dtype=int), 3)
+        model, rec = run(train, empty, test, config(), ARCH)
+        assert rec.peak_model is model
 
     def test_early_stopping_on_validation_plateau(self):
         train, val, test = blob_splits(11)

@@ -1,12 +1,16 @@
-"""One SHA-256 digest over the float64 trajectories of 36 seeded training runs.
+"""SHA-256 digests over the float64 trajectories of seeded training runs.
 
-A change that claims to keep training bit-exact must print the same digest
-as its parent commit.  The matrix is seeds 0-1 x erm/rrm/arrm x CCE/MAE/MSE
-x {fixed gamma 0.4, gamma auto-tuned to prune 40%} on 3-class blobs (200 per
-class, dim 10, separation 4, 40% NCAR, split 0.64/0.16/0.2) with widths
-10-16-16-3, 4 iterations x 2 epochs, batch 16 and eps_train 0.05 for arrm.
-Each run contributes its final theta bytes, the repr of its iteration
-records and its summary as sorted JSON.
+A change that claims to keep training bit-exact must print the same digests
+as its parent commit.  Each digest covers a 36-run matrix: seeds 0-1 x
+erm/rrm/arrm x CCE/MAE/MSE x {fixed gamma 0.4, gamma auto-tuned to prune
+40%} on 3-class blobs (200 per class, dim 10, separation 4, 40% NCAR, split
+0.64/0.16/0.2) with widths 10-16-16-3, 4 iterations x 2 epochs and
+eps_train 0.05 for arrm.  Each run contributes its final theta bytes, the
+repr of its iteration records and its summary as sorted JSON.
+
+One line is printed per batch size, as `<digest>  batch <size>`: batch 16
+divides the 384 training rows evenly, batch 23 leaves a ragged last batch
+of 16 rows.
 
     PYTHONPATH=src python tools/trajectory_hash.py
 """
@@ -25,6 +29,7 @@ from rockrelax.trainer import TrainConfig, run
 
 ARCH = Architecture((10, 16, 16, 3))
 REWEIGHTS = (ReweightConfig(gamma=0.4, mu=0.5), ReweightConfig(contamination_estimate=0.4))
+BATCH_SIZES = (16, 23)
 
 
 def splits(seed: int):
@@ -37,7 +42,7 @@ def splits(seed: int):
     return train, val, test
 
 
-def digest() -> str:
+def digest(batch_size: int) -> str:
     h = hashlib.sha256()
     for seed in (0, 1):
         data = splits(seed)
@@ -47,7 +52,7 @@ def digest() -> str:
                     config = TrainConfig(
                         mode=mode, loss_kind=kind,
                         epsilon_train=0.05 if mode == "arrm" else 0.0,
-                        epochs_per_iteration=2, batch_size=16, learning_rate=0.1,
+                        epochs_per_iteration=2, batch_size=batch_size, learning_rate=0.1,
                         reweight=rw, max_iterations=4, seed=seed)
                     model, record = run(*data, config, ARCH)
                     h.update(model.theta.tobytes())
@@ -57,4 +62,5 @@ def digest() -> str:
 
 
 if __name__ == "__main__":
-    print(digest())
+    for size in BATCH_SIZES:
+        print(f"{digest(size)}  batch {size}")
