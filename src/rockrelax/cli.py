@@ -233,7 +233,7 @@ def _failure(seed: int, exc: BaseException) -> dict:
 
 def cmd_train(args) -> int:
     doc = load_config(args.config, TRAIN_SCHEMA)
-    for key in ("train_cache", "test_cache", "architecture", "output_dir"):
+    for key in ("train_cache", "test_cache", "architecture", "train", "output_dir"):
         _require(doc, key)
     seeds = [args.seed] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
     epsilon_test = [float(e) for e in (args.epsilon_test or doc.get("epsilon_test", []))]
@@ -259,39 +259,42 @@ def cmd_train(args) -> int:
                 failures.append(_failure(seed, exc))
 
     for failure in failures:
-        # with no aggregate.json to hold it, the traceback goes to stderr
+        # when no seed succeeded, the traceback is the first thing to read
         detail = "" if summaries else "\n" + failure["traceback"]
         print(f"seed {failure['seed']} failed: {failure['type']}: {failure['message']}{detail}",
               file=sys.stderr)
+    aggregate = {
+        "config": doc,
+        "mode": args.mode or doc["train"].get("mode", TrainConfig.mode),
+        "seeds": [s["seed"] for s in summaries],
+    }
     if summaries:
         peaks = np.array([s["test_at_peak_validation"] for s in summaries], dtype=float)
         maxes = np.array([s["max_test_accuracy"] for s in summaries], dtype=float)
-        aggregate = {
-            "config": doc,
-            "mode": summaries[0]["config"]["mode"],
-            "seeds": [s["seed"] for s in summaries],
+        aggregate.update({
             "test_at_peak_validation_mean": float(peaks.mean()),
             # population std, matching mean +/- std reporting over seeds
             "test_at_peak_validation_std": float(peaks.std()),
             "max_test_accuracy_mean": float(maxes.mean()),
             "max_test_accuracy_std": float(maxes.std()),
-            "failed_seeds": [f["seed"] for f in failures],
-            "failures": failures,
-            "version": __version__,
-        }
+        })
         if epsilon_test:
             aggregate["epsilon_test_accuracy_mean"] = {
                 str(eps): float(np.mean([s["epsilon_test_accuracy"][eps] for s in summaries]))
                 for eps in summaries[0]["epsilon_test_accuracy"]
             }
-        with open(out_dir / "aggregate.json", "w") as f:
-            json.dump(aggregate, f, indent=2, default=str)
+    aggregate.update({"failed_seeds": [f["seed"] for f in failures], "failures": failures,
+                      "version": __version__})
+    with open(out_dir / "aggregate.json", "w") as f:
+        json.dump(aggregate, f, indent=2, default=str)
+    if failures and not summaries:
+        print(f"{aggregate['mode']}: every seed failed -> {out_dir}")
+        return EXIT_NUMERIC
+    if summaries:
         print(f"{aggregate['mode']}: test@peak-val "
               f"{aggregate['test_at_peak_validation_mean']:.4f} "
               f"± {aggregate['test_at_peak_validation_std']:.4f} "
               f"over {len(summaries)} seed(s) -> {out_dir}")
-    if failures and not summaries:
-        return EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -329,18 +332,24 @@ def cmd_report(args) -> int:
     lines = ["run  mode  test@peak-val  max-test"]
     rows = []
     for d, agg in zip(run_dirs, aggregates):
-        lines.append(
-            f"{d.name}  {agg['mode']}  "
-            f"{100 * agg['test_at_peak_validation_mean']:.1f} ± "
-            f"{100 * agg['test_at_peak_validation_std']:.1f}  "
-            f"{100 * agg['max_test_accuracy_mean']:.1f}"
-        )
-        rows.append([d.name, agg["mode"],
-                     agg["test_at_peak_validation_mean"],
-                     agg["test_at_peak_validation_std"],
-                     agg["max_test_accuracy_mean"],
-                     agg["max_test_accuracy_std"]])
-    by_mode = {agg["mode"]: agg for agg in aggregates}
+        if not agg["seeds"]:
+            # a failures-only aggregate: no accuracies to tabulate
+            lines.append(f"{d.name}  {agg['mode']}  every seed failed")
+        else:
+            lines.append(
+                f"{d.name}  {agg['mode']}  "
+                f"{100 * agg['test_at_peak_validation_mean']:.1f} ± "
+                f"{100 * agg['test_at_peak_validation_std']:.1f}  "
+                f"{100 * agg['max_test_accuracy_mean']:.1f}"
+            )
+            rows.append([d.name, agg["mode"],
+                         agg["test_at_peak_validation_mean"],
+                         agg["test_at_peak_validation_std"],
+                         agg["max_test_accuracy_mean"],
+                         agg["max_test_accuracy_std"]])
+        for failure in agg.get("failures", []):
+            lines.append(f"  seed {failure['seed']} failed: {failure['type']}: {failure['message']}")
+    by_mode = {agg["mode"]: agg for agg in aggregates if agg["seeds"]}
     if "erm" in by_mode and len(by_mode) > 1:
         base = by_mode["erm"]
         for mode, agg in by_mode.items():

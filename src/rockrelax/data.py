@@ -229,10 +229,10 @@ def make_synthetic_blobs(num_classes: int, samples_per_class: int, input_dim: in
     dirs = rng.standard_normal((num_classes, input_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     means = separation * dirs
-    features = np.concatenate([
-        means[k] + rng.standard_normal((samples_per_class, input_dim))
-        for k in range(num_classes)
-    ])
+    # one draw in class-major order: the same stream as one draw per class
+    features = rng.standard_normal((num_classes, samples_per_class, input_dim))
+    features += means[:, None, :]
+    features = features.reshape(-1, input_dim)
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     perm = rng.permutation(features.shape[0])
     return ContaminatedDataset.clean(features[perm], labels[perm], num_classes)

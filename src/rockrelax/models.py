@@ -124,7 +124,10 @@ def _check_features(architecture: Architecture, x: np.ndarray) -> None:
         )
 
 
-def _check_labels(labels: np.ndarray, k: int) -> None:
+def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
+    """One integer label in [0, k) per row; a single label never broadcasts."""
+    if labels.shape != (rows,):
+        raise InvalidInputError(f"expected {rows} labels, got an array of shape {labels.shape}")
     # size first: min() of an empty array raises ValueError
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise InvalidInputError(f"labels must lie in [0, {k})")
@@ -144,7 +147,7 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
     """Unchecked forward and backward pass; the public functions validate first.
 
     `mats` are the weight matrices, `x` a float64 (n, input_dim) batch and
-    `labels` integers in [0, k) (a single label broadcasts over the rows).
+    `labels` one integer in [0, k) per row.
     With `labels` None the softmax probabilities are returned.  Otherwise
     the chain backpropagates sum_i scale_i * J_i (scale 1 when None): with
     `grad_views`, one array per weight matrix and of its shape, each
@@ -207,7 +210,7 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     """Per-sample loss of softmax probabilities against integer labels."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
-    _check_labels(labels, probs.shape[1])
+    _check_labels(labels, probs.shape[1], probs.shape[0])
     rows = np.arange(probs.shape[0])
     if kind is LossKind.CCE:
         return -np.log(np.maximum(probs[rows, labels], CCE_CLAMP))
@@ -234,9 +237,9 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=float)
     _check_features(arch, x)
-    if not labels.shape == weights.shape == (x.shape[0],):
-        raise InvalidInputError("features, labels and weights disagree on sample count")
-    _check_labels(labels, arch.num_classes)
+    if weights.shape != (x.shape[0],):
+        raise InvalidInputError("features and weights disagree on sample count")
+    _check_labels(labels, arch.num_classes, x.shape[0])
     size = arch.num_params
     if out is None:
         out = np.empty(size)
@@ -252,12 +255,22 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
     return out
 
 
-def grad_input(model: ModelState, x: np.ndarray, y: int, kind: LossKind) -> np.ndarray:
-    """Gradient of the per-sample loss with respect to the input features."""
+def _checked_batch(model: ModelState, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """`x` as a 2-d float batch and `y` as its labels, both checked against the model."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     labels = np.atleast_1d(np.asarray(y))
     _check_features(model.architecture, x)
-    _check_labels(labels, model.architecture.num_classes)
+    _check_labels(labels, model.architecture.num_classes, x.shape[0])
+    return x, labels
+
+
+def grad_input(model: ModelState, x: np.ndarray, y, kind: LossKind) -> np.ndarray:
+    """Gradient of the per-sample loss with respect to the input features.
+
+    `x` is one 1-d sample with an integer label `y` (the gradient is then
+    1-d too), or a 2-d batch with one label per row.
+    """
+    x, labels = _checked_batch(model, x, y)
     gx = _backprop(model.matrices(), x, labels, kind)
     if not _all_finite(gx.ravel()):
         raise NumericError("non-finite input gradient")
@@ -274,6 +287,7 @@ def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: Loss
         raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
     x = np.asarray(x, dtype=float)
     if epsilon == 0:
+        _checked_batch(model, x, y)  # the identity still takes only valid input
         return x.copy()
     step = grad_input(model, x, y, kind)  # a fresh array, so it is reused in place
     np.sign(step, out=step)

@@ -8,7 +8,6 @@ structure.  Restricted to small N so the tests stay exact and fast.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from rockrelax.errors import InvalidInputError, UnsupportedScaleError
 from rockrelax.reweight import WeightShift, _as_loss_vector
@@ -22,6 +21,9 @@ def _epigraph_lp(c: np.ndarray, l1_penalty: float, sum_to_zero: bool):
     Epigraph variables t_i >= |u_i| linearize the penalty; the constant
     mean(c) from the uniform part of the weights is added back at the end.
     """
+    # imported here so that training, which never calls the oracle, loads no scipy
+    from scipy.optimize import linprog
+
     n = c.size
     # Variables [u_1..u_n, t_1..t_n].
     obj = np.concatenate([c, np.full(n, l1_penalty)])

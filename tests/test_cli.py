@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rockrelax import cli
-from rockrelax.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure, _train_config, main
+from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure,
+                          _train_config, main)
 from rockrelax.data import load_cache
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
@@ -175,9 +176,22 @@ class TestFailedSeeds:
     def test_all_seeds_failing_prints_tracebacks(self, caches, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run", failing_seed_one(cli.run))
         cfg = write_json(caches / "train.json", train_config(caches))
-        assert main(["train", "--config", cfg, "--seed", "1"]) != EXIT_OK
+        assert main(["train", "--config", cfg, "--seed", "1"]) == EXIT_NUMERIC
         assert "Traceback" in capsys.readouterr().err
-        assert not (caches / "runs" / "rrm" / "aggregate.json").exists()
+        run_dir = caches / "runs" / "rrm"
+        agg = json.loads((run_dir / "aggregate.json").read_text())
+        assert sorted(agg) == ["config", "failed_seeds", "failures", "mode", "seeds", "version"]
+        assert agg["mode"] == "rrm" and agg["seeds"] == [] and agg["failed_seeds"] == [1]
+        [failure] = agg["failures"]
+        assert failure["type"] == "NumericError"
+        assert 'raise NumericError("diverged on purpose")' in failure["traceback"]
+
+        out = caches / "report"
+        assert main(["report", str(run_dir), "--output-dir", str(out)]) == EXIT_OK
+        text = (out / "comparison.txt").read_text()
+        assert "rrm  rrm  every seed failed" in text
+        assert "seed 1 failed: NumericError: diverged on purpose" in text
+        assert "missing artifacts" not in capsys.readouterr().err
 
     def test_worker_traceback_is_kept(self):
         spawn = multiprocessing.get_context("spawn")

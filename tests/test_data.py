@@ -26,6 +26,21 @@ def toy_dataset(rng, n=60, k=3, dim=5, rate=0.0, seed=0):
     return ContaminatedDataset(features, observed, clean, chosen, k)
 
 
+def blobs_oracle(num_classes, samples_per_class, input_dim, separation, seed):
+    """The former per-class draw of make_synthetic_blobs, kept as an exact oracle."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((num_classes, input_dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    means = separation * dirs
+    features = np.concatenate([
+        means[k] + rng.standard_normal((samples_per_class, input_dim))
+        for k in range(num_classes)
+    ])
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    perm = rng.permutation(features.shape[0])
+    return features[perm], labels[perm]
+
+
 class TestIdx:
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -177,6 +192,16 @@ class TestBlobsAndSplit:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.clean_labels, b.clean_labels)
         assert a.contaminated_set.size == 0
+
+    @pytest.mark.parametrize("num_classes, samples_per_class, input_dim, seed", [
+        (3, 100, 8, 6), (3, 1, 5, 0), (4, 7, 1, 1), (1, 1, 1, 2), (2, 33, 784, 3),
+    ])
+    def test_blobs_equal_per_class_oracle(self, num_classes, samples_per_class, input_dim, seed):
+        ds = make_synthetic_blobs(num_classes, samples_per_class, input_dim, 4.0, seed=seed)
+        features, labels = blobs_oracle(num_classes, samples_per_class, input_dim, 4.0, seed)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.clean_labels, labels)
+        assert np.array_equal(ds.observed_labels, labels)
 
     def test_split_disjoint_exhaustive(self):
         rng = np.random.default_rng(7)

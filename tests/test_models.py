@@ -388,6 +388,21 @@ class TestEdgeValidation:
         with pytest.raises(InvalidInputError):
             loss_per_sample(forward(model, x), y, kind)
 
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_label_count_must_match_rows(self, kind, count):
+        rng = np.random.default_rng(32)
+        model = small_model(rng)  # 3 classes
+        x = rng.uniform(size=(5, 4))
+        y = np.arange(count) % 3
+        # a length-1 vector would broadcast over all five rows without the check
+        for call in (lambda: grad_input(model, x, y, kind),
+                     lambda: fgsm_perturb(model, x, y, 0.1, kind),
+                     lambda: fgsm_perturb(model, x, y, 0.0, kind),
+                     lambda: loss_per_sample(forward(model, x), y, kind)):
+            with pytest.raises(InvalidInputError, match="expected 5 labels"):
+                call()
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_row_batch(self, kind):
         model = small_model(np.random.default_rng(30), (4, 5, 3))

@@ -13,12 +13,25 @@ divides the 384 training rows evenly, batch 23 leaves a ragged last batch
 of 16 rows.
 
     PYTHONPATH=src python tools/trajectory_hash.py
+
+The digests depend on the numpy build, the BLAS and the CPU it dispatches
+to.  `tests/test_trajectory_hash.py` compares them with the goldens in
+`tests/trajectory_golden.json`, recorded together with `fingerprint()` of
+the environment that produced them, and skips on any other fingerprint.
+A change that alters a trajectory on purpose rewrites that file with
+
+    PYTHONPATH=src python tools/trajectory_hash.py --json > tests/trajectory_golden.json
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
+import platform
+import sys
 
 import numpy as np
 
@@ -42,6 +55,36 @@ def splits(seed: int):
     return train, val, test
 
 
+def _openblas_core() -> str | None:
+    """The CPU kernel set chosen at run time by the OpenBLAS bundled with numpy, if any."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    for path in libs:
+        try:
+            fn = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_char_p
+        return fn().decode()
+    return None
+
+
+def fingerprint() -> dict:
+    """What the float64 trajectories depend on besides the code."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 cannot report its build as data
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _openblas_core(),
+        "simd": sorted(config.get("SIMD Extensions", {}).get("found", [])),
+        "machine": platform.machine(),
+    }
+
+
 def digest(batch_size: int) -> str:
     h = hashlib.sha256()
     for seed in (0, 1):
@@ -62,5 +105,10 @@ def digest(batch_size: int) -> str:
 
 
 if __name__ == "__main__":
-    for size in BATCH_SIZES:
-        print(f"{digest(size)}  batch {size}")
+    if sys.argv[1:] == ["--json"]:
+        golden = {"fingerprint": fingerprint(),
+                  "digests": {str(size): digest(size) for size in BATCH_SIZES}}
+        print(json.dumps(golden, indent=2))
+    else:
+        for size in BATCH_SIZES:
+            print(f"{digest(size)}  batch {size}")
