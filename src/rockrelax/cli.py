@@ -15,6 +15,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ _TRAIN_CASTS = {"epsilon_train": float, "epochs_per_iteration": int, "batch_size
                 "learning_rate": float, "max_iterations": int, "patience": int}
 
 
-def _train_config(doc: dict, seed: int, mode_override: str | None) -> TrainConfig:
+def _train_config(doc: dict, mode_override: str | None) -> TrainConfig:
     """TrainConfig from the `train` section; a key it leaves out keeps the dataclass default."""
     t = _require(doc, "train")
     kw = {key: cast(t[key]) for key, cast in _TRAIN_CASTS.items() if key in t}
@@ -186,17 +187,14 @@ def _train_config(doc: dict, seed: int, mode_override: str | None) -> TrainConfi
     rw = {key: float(t[key]) for key in ("gamma", "mu") if key in t}
     if "contamination_estimate" in t:
         rw["contamination_estimate"] = t["contamination_estimate"]
-    return TrainConfig(reweight=ReweightConfig(**rw), seed=seed, **kw)
+    return TrainConfig(reweight=ReweightConfig(**rw), **kw)
 
 
-def _run_one_seed(doc: dict, seed: int, mode_override: str | None,
-                  epsilon_test: list[float], out_dir: Path) -> dict:
-    train_ds, _ = load_cache(doc["train_cache"])
-    test_ds, _ = load_cache(doc["test_cache"])
-    val_frac = float(doc.get("validation_fraction", 0.2))
+def _run_one_seed(config: TrainConfig, arch: Architecture, train_ds: ContaminatedDataset,
+                  test_ds: ContaminatedDataset, val_frac: float, epsilon_test: list[float],
+                  out_dir: Path) -> dict:
+    seed = config.seed
     train_part, val_part = split(train_ds, (1.0 - val_frac, val_frac), seed=seed)
-    config = _train_config(doc, seed, mode_override)
-    arch = Architecture(tuple(_require(doc, "architecture")))
     _, record = run(train_part, val_part, test_ds, config, arch)
     # the checkpoint and the FGSM sweep use the model the summary reports on
     model = record.peak_model
@@ -235,16 +233,33 @@ def cmd_train(args) -> int:
     doc = load_config(args.config, TRAIN_SCHEMA)
     for key in ("train_cache", "test_cache", "architecture", "train", "output_dir"):
         _require(doc, key)
-    seeds = [args.seed] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
-    epsilon_test = [float(e) for e in (args.epsilon_test or doc.get("epsilon_test", []))]
+    # every seed shares these, so a bad value fails the run once, before any seed starts
+    try:
+        seeds = [args.seed] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
+        epsilon_test = [float(e) for e in (args.epsilon_test or doc.get("epsilon_test", []))]
+        val_frac = float(doc.get("validation_fraction", 0.2))
+        config = _train_config(doc, args.mode)
+        arch = Architecture(tuple(doc["architecture"]))
+    except (ValueError, TypeError) as exc:  # InvalidInputError is a ValueError
+        raise SchemaError(f"config: {exc}") from exc
+    if not all(0 <= e <= 1 for e in epsilon_test):
+        raise SchemaError(f"config: epsilon_test values must lie in [0, 1], got {epsilon_test}")
+    if not 0 <= val_frac < 1:
+        raise SchemaError(f"config: validation_fraction must lie in [0, 1), got {val_frac}")
+    train_ds, _ = load_cache(doc["train_cache"])
+    test_ds, _ = load_cache(doc["test_cache"])
+    for key, ds in (("train_cache", train_ds), ("test_cache", test_ds)):
+        if ds.input_dim != arch.input_dim:
+            raise SchemaError(f"config.{key} holds {ds.input_dim}-dim features, "
+                              f"but the architecture takes {arch.input_dim}")
     out_dir = _resolve_output(doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    shared = (arch, train_ds, test_ds, val_frac, epsilon_test, out_dir)
     summaries, failures = [], []
     if args.workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {seed: pool.submit(_run_one_seed, doc, seed, args.mode,
-                                         epsilon_test, out_dir)
+            futures = {seed: pool.submit(_run_one_seed, replace(config, seed=seed), *shared)
                        for seed in seeds}
             for seed, fut in futures.items():
                 try:
@@ -254,7 +269,7 @@ def cmd_train(args) -> int:
     else:
         for seed in seeds:
             try:
-                summaries.append(_run_one_seed(doc, seed, args.mode, epsilon_test, out_dir))
+                summaries.append(_run_one_seed(replace(config, seed=seed), *shared))
             except Exception as exc:
                 failures.append(_failure(seed, exc))
 
@@ -265,7 +280,7 @@ def cmd_train(args) -> int:
               file=sys.stderr)
     aggregate = {
         "config": doc,
-        "mode": args.mode or doc["train"].get("mode", TrainConfig.mode),
+        "mode": config.mode,
         "seeds": [s["seed"] for s in summaries],
     }
     if summaries:

@@ -8,7 +8,7 @@ so that pruning behaviour can be evaluated against ground truth.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -52,9 +52,8 @@ class ContaminatedDataset:
         return self.features.shape[1]
 
     def contamination_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.contaminated_set] = True
-        return mask
+        """Indicator of `contaminated_set`, which __post_init__ ties to the flipped labels."""
+        return self.observed_labels != self.clean_labels
 
     @classmethod
     def clean(cls, features, labels, num_classes) -> "ContaminatedDataset":
@@ -158,25 +157,16 @@ def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
     mask = np.isin(dataset.clean_labels, keep)
     if not mask.any():
         raise InvalidInputError(f"no samples with clean label in {keep}")
-    remap = {old: new for new, old in enumerate(keep)}
     # Observed labels outside the kept set cannot be remapped meaningfully;
     # subsetting is intended for clean datasets prior to contamination.
     if not np.all(np.isin(dataset.observed_labels[mask], keep)):
         raise InvalidInputError("subset_classes requires observed labels within the kept set")
     lut = np.full(dataset.num_classes, -1, dtype=np.int64)
-    for old, new in remap.items():
-        lut[old] = new
-    old_idx = np.flatnonzero(mask)
-    pos = {int(i): p for p, i in enumerate(old_idx)}
-    new_contaminated = np.asarray(sorted(pos[int(i)] for i in dataset.contaminated_set if mask[i]),
-                                  dtype=int)
-    return ContaminatedDataset(
-        features=dataset.features[mask],
-        observed_labels=lut[dataset.observed_labels[mask]],
-        clean_labels=lut[dataset.clean_labels[mask]],
-        contaminated_set=new_contaminated,
-        num_classes=len(keep),
-    )
+    lut[keep] = np.arange(len(keep))
+    sub = _take(dataset, np.flatnonzero(mask))
+    # relabeling is one-to-one on the kept classes, so the contaminated set carries over
+    return replace(sub, observed_labels=lut[sub.observed_labels],
+                   clean_labels=lut[sub.clean_labels], num_classes=len(keep))
 
 
 def _num_contaminated(rate: float, n: int) -> int:

@@ -77,11 +77,6 @@ class WeightShift:
             and bool(np.all(u >= -1.0 / self.n - tol))
         )
 
-    def validate(self, tol: float = FEAS_TOL) -> "WeightShift":
-        if not self.is_feasible(tol):
-            raise InvalidInputError("weight shift violates feasibility (sum-to-zero / lower bound)")
-        return self
-
     @classmethod
     def zero(cls, n: int) -> "WeightShift":
         return cls(np.zeros(n))
@@ -146,15 +141,15 @@ class ReweightConfig:
             )
 
 
-def partition_losses(c, gamma: float, tol: float = PARTITION_TOL) -> LossPartition:
+def partition_losses(c, gamma: float) -> LossPartition:
     """Partition losses into i_min / i_mid / i_big / chi around the breakpoints."""
     c = _as_loss_vector(c)
     if not gamma > 0:
         raise InvalidInputError(f"gamma must be positive, got {gamma}")
     c_min = float(c.min())
     upper = c_min + gamma
-    is_min = c <= c_min + tol
-    is_big = (~is_min) & (np.abs(c - upper) <= tol)
+    is_min = c <= c_min + PARTITION_TOL
+    is_big = (~is_min) & (np.abs(c - upper) <= PARTITION_TOL)
     is_chi = (~is_min) & (~is_big) & (c > upper)
     is_mid = ~(is_min | is_big | is_chi)
     idx = np.arange(c.size)
@@ -219,9 +214,9 @@ def auto_tune_gamma(c, c_prime: float) -> float:
 
     def too_few_pruned(j: int) -> bool:
         upper = c_min + gamma_at(j)
-        # partition_losses prunes v iff v - upper > tol (its other test,
-        # v > c_min + tol, then holds as upper > c_min); the test is monotone
-        # in v, so the pruned losses are a suffix of s
+        # partition_losses prunes v iff v - upper > PARTITION_TOL (its other
+        # test, v > c_min + PARTITION_TOL, then holds as upper > c_min); the
+        # test is monotone in v, so the pruned losses are a suffix of s
         first = bisect.bisect_left(s, True, key=lambda v: v - upper > PARTITION_TOL)
         return (n - first) / n < c_prime - FEAS_TOL
 

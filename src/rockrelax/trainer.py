@@ -9,8 +9,7 @@ same loop with the re-weighting step disabled (u stays identically zero).
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -137,32 +136,24 @@ class RunRecord:
         }
 
     def to_csv(self, path):
-        scalar_fields = [
-            "iteration", "mean_loss", "min_loss", "max_loss", "train_accuracy",
-            "validation_accuracy", "test_accuracy", "tv", "pruned_count",
-            "pruned_precision", "pruned_recall",
-        ]
-        hist_fields = [f"hist_contaminated_{i}" for i in range(len(BUCKET_LABELS))]
-        hist_fields += [f"hist_clean_{i}" for i in range(len(BUCKET_LABELS))]
+        """One row per iteration: the scalar fields, then one column per histogram bucket."""
+        scalars = [f.name for f in fields(IterationRecord) if not f.name.startswith("hist_")]
+        buckets = range(len(BUCKET_LABELS))
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(scalar_fields + hist_fields)
+            w.writerow(scalars + [f"hist_contaminated_{i}" for i in buckets]
+                       + [f"hist_clean_{i}" for i in buckets])
             for rec in self.iterations:
-                d = asdict(rec)
-                row = [d[k] for k in scalar_fields]
-                row += list(rec.hist_contaminated) + list(rec.hist_clean)
-                w.writerow(row)
-
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.summary(), f, indent=2, default=str)
+                w.writerow([getattr(rec, name) for name in scalars]
+                           + list(rec.hist_contaminated) + list(rec.hist_clean))
 
 
 def weight_histogram(u: WeightShift, contaminated_set) -> dict:
-    """Bucketed counts of u (in units of 1/N), split contaminated vs clean."""
+    """Bucketed counts of u (in units of 1/N), split contaminated vs clean.
+
+    `contaminated_set` holds distinct indices, as ContaminatedDataset's does.
+    """
     n = u.n
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(contaminated_set, dtype=int)] = True
     q = u.shifts * n
     bucket = np.empty(n, dtype=int)
     bucket[q > _NEAR_ZERO] = 0
@@ -173,10 +164,11 @@ def weight_histogram(u: WeightShift, contaminated_set) -> dict:
     bucket[(q <= -0.5) & (q > -0.75)] = 4
     bucket[q <= -0.75] = 5
     k = len(BUCKET_LABELS)
+    contaminated = np.bincount(bucket[np.asarray(contaminated_set, dtype=int)], minlength=k)
     return {
         "buckets": BUCKET_LABELS,
-        "contaminated": tuple(np.bincount(bucket[mask], minlength=k)),
-        "clean": tuple(np.bincount(bucket[~mask], minlength=k)),
+        "contaminated": tuple(contaminated),
+        "clean": tuple(np.bincount(bucket, minlength=k) - contaminated),
     }
 
 
@@ -316,13 +308,10 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
 
 def evaluate_fgsm_sweep(model: ModelState, test: ContaminatedDataset,
                         epsilons, kind: LossKind) -> dict[float, float]:
-    """Accuracy on the test set under FGSM attacks of varying strength."""
-    out = {}
-    for eps in epsilons:
-        x = fgsm_perturb(model, test.features, test.clean_labels, eps, kind) if eps > 0 \
-            else test.features
-        out[float(eps)] = float(np.mean(forward(model, x).argmax(axis=1) == test.clean_labels))
-    return out
+    """Accuracy on the test set under FGSM attacks of varying strength (eps = 0: unperturbed)."""
+    x, y = test.features, test.clean_labels
+    return {float(eps): accuracy(model, fgsm_perturb(model, x, y, eps, kind), y)
+            for eps in epsilons}
 
 
 def _config_echo(config: TrainConfig) -> dict:

@@ -134,8 +134,42 @@ class TestTrain:
             assert summary["final_test_accuracy"] != reloaded
 
     def test_empty_train_section_keeps_dataclass_defaults(self):
-        assert _train_config({"train": {}}, 7, None) == TrainConfig(seed=7)
-        assert _train_config({"train": {}}, 7, "erm") == TrainConfig(mode="erm", seed=7)
+        assert _train_config({"train": {}}, None) == TrainConfig()
+        assert _train_config({"train": {}}, "erm") == TrainConfig(mode="erm")
+
+    @pytest.mark.parametrize("section,value", [
+        ("train", {"mode": "bogus"}),
+        ("train", {"loss": "hinge"}),
+        ("train", {"gamma": -1}),
+        ("architecture", [4, 8, 3]),  # the caches hold 5-dim features
+        ("epsilon_test", [-0.1]),
+        ("validation_fraction", 1.0),
+        ("seeds", ["first"]),
+    ])
+    def test_bad_config_fails_once_before_any_seed(self, caches, capsys, section, value):
+        doc = train_config(caches)
+        if section == "train":
+            doc["train"].update(value)
+        else:
+            doc[section] = value
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.count("config error") == 1
+        out = caches / "runs" / "rrm"
+        assert not list(out.glob("seed_*")) and not (out / "aggregate.json").exists()
+
+    def test_workers_do_not_change_results(self, caches):
+        for workers in (1, 2):
+            doc = train_config(caches)
+            doc["output_dir"] = str(caches / "runs" / f"workers_{workers}")
+            cfg = write_json(caches / f"train_{workers}.json", doc)
+            assert main(["train", "--config", cfg, "--workers", str(workers)]) == EXIT_OK
+        for seed in (0, 1):
+            one, two = (caches / "runs" / f"workers_{w}" / f"seed_{seed}" for w in (1, 2))
+            for name in ("summary.json", "record.csv"):
+                assert (one / name).read_bytes() == (two / name).read_bytes()
+            theta_one = load_checkpoint(one / "checkpoint.npz")[0].theta
+            theta_two = load_checkpoint(two / "checkpoint.npz")[0].theta
+            assert np.array_equal(theta_one, theta_two)
 
     def test_missing_cache_io_error(self, tmp_path):
         doc = train_config(tmp_path)

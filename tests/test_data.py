@@ -80,6 +80,54 @@ class TestIdx:
             load_idx(tmp_path / "i", tmp_path / "l")
 
 
+def subset_classes_oracle(dataset, keep):
+    """The former dict-based subset_classes, kept as an exact oracle."""
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise InvalidInputError("keep set must be non-empty")
+    mask = np.isin(dataset.clean_labels, keep)
+    if not mask.any():
+        raise InvalidInputError(f"no samples with clean label in {keep}")
+    remap = {old: new for new, old in enumerate(keep)}
+    if not np.all(np.isin(dataset.observed_labels[mask], keep)):
+        raise InvalidInputError("subset_classes requires observed labels within the kept set")
+    lut = np.full(dataset.num_classes, -1, dtype=np.int64)
+    for old, new in remap.items():
+        lut[old] = new
+    old_idx = np.flatnonzero(mask)
+    pos = {int(i): p for p, i in enumerate(old_idx)}
+    new_contaminated = np.asarray(sorted(pos[int(i)] for i in dataset.contaminated_set if mask[i]),
+                                  dtype=int)
+    return ContaminatedDataset(
+        features=dataset.features[mask],
+        observed_labels=lut[dataset.observed_labels[mask]],
+        clean_labels=lut[dataset.clean_labels[mask]],
+        contaminated_set=new_contaminated,
+        num_classes=len(keep),
+    )
+
+
+def flipped_within(rng, n, k, keep, rate):
+    """A dataset with a `rate` share of flips; a sample of a kept class flips to another kept one."""
+    keep = np.unique(list(keep))
+    clean = rng.integers(0, k, size=n)
+    observed = clean.copy()
+    for i in np.flatnonzero(rng.random(n) < rate):
+        pool = keep if clean[i] in keep else np.arange(k)
+        others = pool[pool != clean[i]]
+        if others.size:
+            observed[i] = rng.choice(others)
+    return ContaminatedDataset(rng.uniform(size=(n, 4)), observed, clean,
+                               np.flatnonzero(observed != clean), k)
+
+
+def assert_same_dataset(a, b):
+    for name in ("features", "observed_labels", "clean_labels", "contaminated_set"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.num_classes == b.num_classes
+
+
 class TestSubset:
     def test_keep_and_relabel(self):
         rng = np.random.default_rng(1)
@@ -101,6 +149,33 @@ class TestSubset:
         ds = toy_dataset(rng, n=20, k=3)
         with pytest.raises(InvalidInputError):
             subset_classes(ds, set())
+
+    @pytest.mark.parametrize("k,keep,rate,seed", [
+        (5, {1, 3}, 0.3, 0), (5, {0, 2, 4}, 0.5, 1), (4, {0, 1, 2, 3}, 0.4, 2),
+        (6, {5}, 0.3, 3), (3, [2, 0, 2], 0.2, 4), (4, {1, 2}, 0.0, 5),
+    ])
+    def test_equals_former_implementation(self, k, keep, rate, seed):
+        ds = flipped_within(np.random.default_rng(seed), 200, k, keep, rate)
+        assert_same_dataset(subset_classes(ds, keep), subset_classes_oracle(ds, keep))
+
+    def test_contaminated_samples_carried_through(self):
+        features = np.arange(6.0)[:, None]
+        clean = np.array([0, 1, 2, 0, 1, 2])
+        observed = np.array([1, 1, 2, 0, 0, 2])  # samples 0 and 4 flipped
+        ds = ContaminatedDataset(features, observed, clean, np.array([0, 4]), 3)
+        sub = subset_classes(ds, {0, 1})
+        np.testing.assert_array_equal(sub.features[:, 0], [0, 1, 3, 4])
+        np.testing.assert_array_equal(sub.observed_labels, [1, 1, 0, 0])
+        np.testing.assert_array_equal(sub.clean_labels, [0, 1, 0, 1])
+        np.testing.assert_array_equal(sub.contaminated_set, [0, 3])
+        assert sub.num_classes == 2
+
+    def test_observed_label_outside_kept_set_rejected(self):
+        clean = np.array([0, 1, 2, 0, 1, 2])
+        observed = np.array([1, 1, 2, 0, 0, 2])  # sample 4 (clean 1) is observed as 0
+        ds = ContaminatedDataset(np.zeros((6, 1)), observed, clean, np.array([0, 4]), 3)
+        with pytest.raises(InvalidInputError, match="observed labels within the kept set"):
+            subset_classes(ds, {1, 2})
 
 
 class TestNcar:
@@ -257,6 +332,14 @@ class TestCache:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_contamination_mask_is_the_indicator_of_c(self, rate):
+        ds = toy_dataset(np.random.default_rng(15), n=80, rate=rate, seed=16)
+        scattered = np.zeros(ds.n, dtype=bool)
+        scattered[ds.contaminated_set] = True
+        mask = ds.contamination_mask()
+        assert mask.dtype == bool and np.array_equal(mask, scattered)
+
     def test_contamination_set_consistency_enforced(self):
         rng = np.random.default_rng(14)
         features = rng.uniform(size=(5, 2))

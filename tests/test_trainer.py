@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -259,7 +258,47 @@ class TestReweightStep:
         assert part.chi.size >= 0.2 * train.n
 
 
+def weight_histogram_oracle(u, contaminated_set):
+    """The former mask-based weight_histogram, kept as an exact oracle."""
+    n = u.n
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(contaminated_set, dtype=int)] = True
+    q = u.shifts * n
+    bucket = np.empty(n, dtype=int)
+    bucket[q > 1e-6] = 0
+    bucket[np.abs(q) <= 1e-6] = 1
+    neg = q < -1e-6
+    bucket[neg & (q > -0.25)] = 2
+    bucket[(q <= -0.25) & (q > -0.5)] = 3
+    bucket[(q <= -0.5) & (q > -0.75)] = 4
+    bucket[q <= -0.75] = 5
+    k = len(BUCKET_LABELS)
+    return {
+        "buckets": BUCKET_LABELS,
+        "contaminated": tuple(np.bincount(bucket[mask], minlength=k)),
+        "clean": tuple(np.bincount(bucket[~mask], minlength=k)),
+    }
+
+
 class TestHistogram:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_equals_former_implementation(self, seed, share):
+        # n is a power of two, so q = u * n recovers each edge value exactly
+        n = 128
+        rng = np.random.default_rng(seed)
+        edges = np.array([1e-6, -1e-6, -0.25, -0.5, -0.75, 0.0, -1.0])
+        q = np.concatenate([edges, rng.uniform(-1.0, 1.0, n - edges.size)])
+        rng.shuffle(q)
+        u = WeightShift(q / n)
+        assert np.all(np.isin(edges, u.shifts * n))
+        contaminated = rng.choice(n, int(share * n), replace=False)
+        hist = weight_histogram(u, contaminated)
+        expected = weight_histogram_oracle(u, contaminated)
+        assert hist == expected
+        # the tuples hold np.int64 counts, whose repr feeds the trajectory digests
+        assert repr(hist) == repr(expected)
+
     def test_zero_shift_all_near_zero(self):
         hist = weight_histogram(WeightShift.zero(50), np.array([1, 2, 3]))
         assert hist["contaminated"][1] == 3
@@ -279,6 +318,18 @@ class TestHistogram:
         assert len(hist["buckets"]) == len(BUCKET_LABELS) == 6
         assert sum(hist["contaminated"]) == 10
         assert sum(hist["clean"]) == 30
+
+
+# record.csv's columns, which `report` and outside readers of the file rely on
+RECORD_CSV_HEADER = [
+    "iteration", "mean_loss", "min_loss", "max_loss", "train_accuracy",
+    "validation_accuracy", "test_accuracy", "tv", "pruned_count",
+    "pruned_precision", "pruned_recall",
+    "hist_contaminated_0", "hist_contaminated_1", "hist_contaminated_2",
+    "hist_contaminated_3", "hist_contaminated_4", "hist_contaminated_5",
+    "hist_clean_0", "hist_clean_1", "hist_clean_2",
+    "hist_clean_3", "hist_clean_4", "hist_clean_5",
+]
 
 
 class TestRun:
@@ -355,12 +406,14 @@ class TestRun:
         train, val, test = blob_splits(12)
         _, rec = run(train, val, test, config(), ARCH)
         rec.to_csv(tmp_path / "record.csv")
-        rec.to_json(tmp_path / "summary.json")
         with open(tmp_path / "record.csv") as f:
             rows = list(csv.reader(f))
         assert len(rows) == len(rec.iterations) + 1
-        assert rows[0][0] == "iteration"
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert rows[0] == RECORD_CSV_HEADER
+        first = rec.iterations[0]
+        assert rows[1][:3] == [str(first.iteration), str(first.mean_loss), str(first.min_loss)]
+        assert rows[1][11:] == [str(v) for v in first.hist_contaminated + first.hist_clean]
+        summary = rec.summary()
         assert summary["iterations_run"] == len(rec.iterations)
         assert 0 <= summary["test_at_peak_validation"] <= 1
 
