@@ -144,7 +144,10 @@ def cmd_inject(args) -> int:
     seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
     dataset = _load_source(_require(doc, "source"), seed)
     if "keep_classes" in doc:
-        dataset = subset_classes(dataset, doc["keep_classes"])
+        try:
+            dataset = subset_classes(dataset, doc["keep_classes"])
+        except (ValueError, TypeError) as exc:  # InvalidInputError is a ValueError
+            raise SchemaError(f"config.keep_classes: {exc}") from exc
     cont = doc.get("contamination", {"mode": "none"})
     mode = cont.get("mode", "none")
     rate = float(cont.get("rate", 0.0))
@@ -252,6 +255,12 @@ def cmd_train(args) -> int:
         if ds.input_dim != arch.input_dim:
             raise SchemaError(f"config.{key} holds {ds.input_dim}-dim features, "
                               f"but the architecture takes {arch.input_dim}")
+        # observed labels train the model and clean labels score it, so both must fit
+        labels = np.concatenate([ds.observed_labels, ds.clean_labels])
+        if labels.size and (labels.min() < 0 or labels.max() >= arch.num_classes):
+            raise SchemaError(f"config.{key} holds labels in [{labels.min()}, {labels.max()}], "
+                              f"but the architecture's {arch.num_classes} outputs "
+                              f"take labels in [0, {arch.num_classes})")
     out_dir = _resolve_output(doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

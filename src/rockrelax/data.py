@@ -150,10 +150,16 @@ def write_idx(images_path, labels_path, features: np.ndarray, labels: np.ndarray
 
 
 def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
-    """Keep samples whose clean label is in `keep`, relabeled to 0..K-1."""
+    """Keep samples whose clean label is in `keep`, relabeled to 0..K-1.
+
+    Every kept id must be a class of `dataset`, in [0, num_classes).
+    """
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise InvalidInputError("keep set must be non-empty")
+    if keep[0] < 0 or keep[-1] >= dataset.num_classes:
+        raise InvalidInputError(
+            f"kept class ids must lie in [0, {dataset.num_classes}), got {keep}")
     mask = np.isin(dataset.clean_labels, keep)
     if not mask.any():
         raise InvalidInputError(f"no samples with clean label in {keep}")

@@ -164,7 +164,11 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
             acts.append(h)
     # softmax, in place on the fresh logits
     probs = h @ mats[-1]
-    probs -= probs.max(axis=1, keepdims=True)
+    # row max column by column: max(axis=1) runs one inner loop per narrow row
+    top = probs[:, 0].copy()
+    for j in range(1, probs.shape[1]):
+        np.maximum(top, probs[:, j], out=top)
+    probs -= top[:, None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     if labels is None:

@@ -152,14 +152,13 @@ def partition_losses(c, gamma: float) -> LossPartition:
     is_big = (~is_min) & (np.abs(c - upper) <= PARTITION_TOL)
     is_chi = (~is_min) & (~is_big) & (c > upper)
     is_mid = ~(is_min | is_big | is_chi)
-    idx = np.arange(c.size)
     return LossPartition(
         c_min=c_min,
         gamma=float(gamma),
-        i_min=idx[is_min],
-        i_mid=idx[is_mid],
-        i_big=idx[is_big],
-        chi=idx[is_chi],
+        i_min=np.flatnonzero(is_min),
+        i_mid=np.flatnonzero(is_mid),
+        i_big=np.flatnonzero(is_big),
+        chi=np.flatnonzero(is_chi),
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from rockrelax import cli
 from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure,
                           _train_config, main)
-from rockrelax.data import load_cache
+from rockrelax.data import ContaminatedDataset, load_cache, save_cache
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
 from rockrelax.trainer import TrainConfig, accuracy
@@ -92,6 +92,23 @@ class TestInject:
         cfg = write_json(tmp_path / "i.json", doc)
         assert main(["inject", "--config", cfg]) == EXIT_SCHEMA
 
+    def test_keep_classes_subsets_and_relabels(self, tmp_path):
+        doc = inject_config(tmp_path, rate=0.0, mode="none")
+        doc["keep_classes"] = [0, 2]
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_OK
+        ds, _ = load_cache(tmp_path / "train_cache.npz")
+        assert ds.num_classes == 2 and ds.n == 80
+        assert np.bincount(ds.clean_labels).tolist() == [40, 40]
+
+    @pytest.mark.parametrize("keep", [[0, 7], [-1, 0], [3]])
+    def test_keep_classes_outside_source_rejected(self, tmp_path, capsys, keep):
+        # the blobs source has classes 0..2
+        doc = inject_config(tmp_path)
+        doc["keep_classes"] = keep
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
+        assert "config error: config.keep_classes" in capsys.readouterr().err
+        assert not (tmp_path / "train_cache.npz").exists()
+
 
 class TestTrain:
     def test_multi_seed_artifacts_and_aggregate(self, caches):
@@ -145,6 +162,7 @@ class TestTrain:
         ("epsilon_test", [-0.1]),
         ("validation_fraction", 1.0),
         ("seeds", ["first"]),
+        ("architecture", [5, 8, 2]),  # the caches hold 3-class labels
     ])
     def test_bad_config_fails_once_before_any_seed(self, caches, capsys, section, value):
         doc = train_config(caches)
@@ -156,6 +174,26 @@ class TestTrain:
         assert capsys.readouterr().err.count("config error") == 1
         out = caches / "runs" / "rrm"
         assert not list(out.glob("seed_*")) and not (out / "aggregate.json").exists()
+
+    def test_clean_label_beyond_output_width_rejected(self, caches, capsys):
+        # observed labels fit 2 outputs, but a flipped sample's clean label is 2
+        clean = np.array([0, 1, 2, 0, 1, 2])
+        observed = np.where(clean == 2, 0, clean)
+        ds = ContaminatedDataset(np.zeros((6, 5)), observed, clean, np.array([2, 5]), 3)
+        save_cache(caches / "train_cache.npz", ds)
+        doc = train_config(caches)
+        doc["architecture"] = [5, 8, 2]
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_SCHEMA
+        assert "config.train_cache holds labels in [0, 2]" in capsys.readouterr().err
+        out = caches / "runs" / "rrm"
+        assert not list(out.glob("seed_*")) and not (out / "aggregate.json").exists()
+
+    def test_output_wider_than_class_count_trains(self, caches):
+        doc = train_config(caches)
+        doc["architecture"] = [5, 8, 4]
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_OK
+        agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
+        assert agg["seeds"] == [0, 1] and agg["failed_seeds"] == []
 
     def test_workers_do_not_change_results(self, caches):
         for workers in (1, 2):

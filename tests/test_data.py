@@ -170,6 +170,13 @@ class TestSubset:
         np.testing.assert_array_equal(sub.contaminated_set, [0, 3])
         assert sub.num_classes == 2
 
+    @pytest.mark.parametrize("keep", [{0, 7}, {-1, 0}, {3}])
+    def test_ids_outside_the_classes_rejected(self, keep):
+        # lut[-1] would index from the end; 3 and 7 are not classes of a 3-class set
+        ds = toy_dataset(np.random.default_rng(4), n=30, k=3)
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 3\)"):
+            subset_classes(ds, keep)
+
     def test_observed_label_outside_kept_set_rejected(self):
         clean = np.array([0, 1, 2, 0, 1, 2])
         observed = np.array([1, 1, 2, 0, 0, 2])  # sample 4 (clean 1) is observed as 0

@@ -225,7 +225,8 @@ class TestGradients:
                                       np.zeros(4))
 
 
-ORACLE_WIDTHS = [(4, 3), (4, 5, 3), (6, 8, 7, 3)]
+# 1, 2, 3, 8 and 10 outputs: the kernel takes the softmax row maximum column by column.
+ORACLE_WIDTHS = [(4, 3), (4, 5, 3), (6, 8, 7, 3), (4, 1), (5, 6, 2), (6, 8), (6, 9, 10)]
 
 
 def weights_with_zeros(rng, n):
@@ -245,7 +246,7 @@ class TestGradientsMatchOracle:
         for nb in (1, 7, 32):
             model = small_model(rng, widths)
             x = rng.uniform(size=(nb, widths[0]))
-            y = rng.integers(0, 3, size=nb)
+            y = rng.integers(0, widths[-1], size=nb)
             w = weights_with_zeros(rng, nb)
             expected, _ = backprop_oracle(model, x, y, w, kind, want_input_grad=False)
             assert np.array_equal(grad_params_weighted(model, x, y, w, kind), expected)
@@ -259,7 +260,7 @@ class TestGradientsMatchOracle:
         for nb in (1, 5):
             model = small_model(rng, widths)
             x = rng.uniform(size=(nb, widths[0]))
-            y = rng.integers(0, 3, size=nb)
+            y = rng.integers(0, widths[-1], size=nb)
             _, expected = backprop_oracle(model, x, y, np.ones(nb), kind, want_input_grad=True)
             assert np.array_equal(grad_input(model, x, y, kind), expected)
             _, first = backprop_oracle(model, x[:1], y[:1], np.ones(1), kind, want_input_grad=True)
@@ -310,6 +311,48 @@ class TestForwardAndLossMatchOracle:
             model = small_model(rng, widths)
             x = rng.uniform(size=(nb, widths[0]))
             assert np.array_equal(forward(model, x), forward_oracle(model, x))
+
+    @pytest.mark.parametrize("widths", ORACLE_WIDTHS)
+    def test_forward_equals_oracle_on_many_rows(self, widths):
+        rng = np.random.default_rng(27)
+        model = small_model(rng, widths)
+        x = rng.uniform(-3.0, 3.0, size=(2000, widths[0]))
+        assert np.array_equal(forward(model, x), forward_oracle(model, x))
+
+    @pytest.mark.parametrize("widths", ORACLE_WIDTHS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_tied_maxima_equal_oracle(self, kind, widths):
+        # the last layer's first two columns are equal, so every row's top
+        # logit is tied (or the two tie below it); zero features tie every logit
+        rng = np.random.default_rng(28)
+        model = small_model(rng, widths)
+        if widths[-1] > 1:
+            last = model.matrices()[-1]
+            last[:, 1] = last[:, 0]
+        x = rng.uniform(size=(9, widths[0]))
+        x[:3] = 0.0
+        y = rng.integers(0, widths[-1], size=9)
+        w = weights_with_zeros(rng, 9)
+        assert np.array_equal(forward(model, x), forward_oracle(model, x))
+        expected, _ = backprop_oracle(model, x, y, w, kind, want_input_grad=False)
+        assert np.array_equal(grad_params_weighted(model, x, y, w, kind), expected)
+        _, expected = backprop_oracle(model, x, y, np.ones(9), kind, want_input_grad=True)
+        assert np.array_equal(grad_input(model, x, y, kind), expected)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 10])
+    def test_overflowing_logits_equal_oracle(self, k):
+        rng = np.random.default_rng(29)
+        arch = Architecture((3, k))
+        model = ModelState(arch, rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=arch.num_params))
+        x = rng.choice([-1e308, 1e308, 0.0, 1.0], size=(64, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = x @ model.matrices()[0]
+        assert np.isposinf(logits).any() and np.isneginf(logits).any()
+        got, want = forward(model, x), forward_oracle(model, x)
+        assert np.isnan(want).any() and np.isfinite(want).all(axis=1).any()
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_loss_equals_oracle(self, kind):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rockrelax.errors import InvalidInputError
@@ -8,6 +8,8 @@ from rockrelax.reweight import (
     FEAS_TOL,
     GAMMA_FLOOR_SCALE,
     KKT_BLOCK,
+    PARTITION_TOL,
+    LossPartition,
     ReweightConfig,
     WeightShift,
     auto_tune_gamma,
@@ -63,6 +65,20 @@ def _check_kkt_oracle(c, u, gamma, tol=1e-9):
     return True
 
 
+def _partition_oracle(c, gamma):
+    """partition_losses as it stood before flatnonzero: each set gathered from arange(N)."""
+    c = np.asarray(c, dtype=float)
+    c_min = float(c.min())
+    upper = c_min + gamma
+    is_min = c <= c_min + PARTITION_TOL
+    is_big = (~is_min) & (np.abs(c - upper) <= PARTITION_TOL)
+    is_chi = (~is_min) & (~is_big) & (c > upper)
+    is_mid = ~(is_min | is_big | is_chi)
+    idx = np.arange(c.size)
+    return LossPartition(c_min=c_min, gamma=float(gamma), i_min=idx[is_min],
+                         i_mid=idx[is_mid], i_big=idx[is_big], chi=idx[is_chi])
+
+
 # Loss vectors of length 1..60: arbitrary floats, or small integers with many ties.
 loss_vectors = st.one_of(
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
@@ -77,7 +93,39 @@ near_tied_vectors = st.lists(
 fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+# Offsets at, inside and just outside PARTITION_TOL (1e-9) on either side.
+BREAKPOINT_OFFSETS = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9)
+
+
+@st.composite
+def losses_near_breakpoints(draw):
+    """(c, gamma) with tie-heavy losses on or within +-PARTITION_TOL of c_min and c_min + gamma.
+
+    Losses also sit halfway between the breakpoints and beyond the upper
+    one, so every set can be empty or not.
+    """
+    gamma = draw(st.sampled_from([2e-9, 0.5, 1.0, 2.5]))
+    base = draw(st.sampled_from([0.0, 3.0, -7.0, 1e3]))
+    anchors = (0.0, gamma, 0.5 * gamma, 2.0 * gamma)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(anchors), st.sampled_from(BREAKPOINT_OFFSETS)),
+                          min_size=1, max_size=40))
+    return np.array([base + a + d for a, d in pairs]), gamma
+
+
 class TestPartition:
+    @given(st.one_of(losses_near_breakpoints(),
+                     st.tuples(loss_vectors, st.floats(1e-3, 10.0))))
+    @example((np.array([5.0]), 1.0))  # one loss: three empty sets
+    @example((np.array([0.0, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 2.0]), 1.0))
+    @settings(max_examples=1000, deadline=None)
+    def test_index_sets_equal_arange_oracle(self, case):
+        c, gamma = case
+        got, want = partition_losses(c, gamma), _partition_oracle(c, gamma)
+        assert (got.c_min, got.gamma) == (want.c_min, want.gamma)
+        for name in ("i_min", "i_mid", "i_big", "chi"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_four_way_example(self):
         part = partition_losses([1, 2, 5, 9], 3.0)
         assert part.c_min == 1

@@ -12,7 +12,10 @@ One line is printed per batch size, as `<digest>  batch <size>`: batch 16
 divides the 384 training rows evenly, batch 23 leaves a ragged last batch
 of 16 rows.
 
-    PYTHONPATH=src python tools/trajectory_hash.py
+    python tools/trajectory_hash.py
+
+The tool puts the checkout's `src/` first on `sys.path`, so it hashes the
+package next to it, not an installed copy, and needs no PYTHONPATH.
 
 The digests depend on the numpy build, the BLAS and the CPU it dispatches
 to.  `tests/test_trajectory_hash.py` compares them with the goldens in
@@ -20,7 +23,7 @@ to.  `tests/test_trajectory_hash.py` compares them with the goldens in
 the environment that produced them, and skips on any other fingerprint.
 A change that alters a trajectory on purpose rewrites that file with
 
-    PYTHONPATH=src python tools/trajectory_hash.py --json > tests/trajectory_golden.json
+    python tools/trajectory_hash.py --json > tests/trajectory_golden.json
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ import json
 import os
 import platform
 import sys
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rockrelax.data import ContaminatedDataset, inject_ncar, make_synthetic_blobs, split
 from rockrelax.models import Architecture, LossKind
