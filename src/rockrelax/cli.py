@@ -15,6 +15,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,6 +120,20 @@ def _require(doc: dict, key: str, context: str = "config"):
     return doc[key]
 
 
+@contextmanager
+def _config_values(context: str = "config"):
+    """Report a ValueError or TypeError raised by a bad config value as SchemaError.
+
+    SchemaError and FormatError (a fault in a file the config names) pass unchanged.
+    """
+    try:
+        yield
+    except (SchemaError, FormatError):
+        raise
+    except (ValueError, TypeError) as exc:  # InvalidInputError is a ValueError
+        raise SchemaError(f"{context}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- inject
 
 def _load_source(source: dict, seed: int) -> ContaminatedDataset:
@@ -141,30 +156,31 @@ def _load_source(source: dict, seed: int) -> ContaminatedDataset:
 
 def cmd_inject(args) -> int:
     doc = load_config(args.config, INJECT_SCHEMA)
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-    dataset = _load_source(_require(doc, "source"), seed)
-    if "keep_classes" in doc:
-        try:
-            dataset = subset_classes(dataset, doc["keep_classes"])
-        except (ValueError, TypeError) as exc:  # InvalidInputError is a ValueError
-            raise SchemaError(f"config.keep_classes: {exc}") from exc
     cont = doc.get("contamination", {"mode": "none"})
     mode = cont.get("mode", "none")
-    rate = float(cont.get("rate", 0.0))
-    if mode == "ncar":
-        observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
-    elif mode == "kernel":
-        kernel = ContaminationKernel.from_file(_require(cont, "kernel_path", "config.contamination"))
-        if kernel.num_classes != dataset.num_classes:
-            raise SchemaError(f"kernel is {kernel.num_classes}-class but dataset has "
-                              f"{dataset.num_classes} classes")
-        observed, chosen = inject_kernel(dataset.clean_labels, rate, kernel, seed)
-    elif mode == "none":
-        observed, chosen = dataset.clean_labels.copy(), np.empty(0, dtype=int)
-    else:
+    if mode not in ("ncar", "kernel", "none"):
         raise SchemaError(f"contamination mode must be ncar|kernel|none, got {mode!r}")
-    dataset = ContaminatedDataset(dataset.features, observed, dataset.clean_labels,
-                                  chosen, dataset.num_classes)
+    if mode == "kernel":
+        # a fault in the kernel file is the file's, not the config's
+        kernel = ContaminationKernel.from_file(_require(cont, "kernel_path", "config.contamination"))
+    with _config_values():
+        seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+        rate = float(cont.get("rate", 0.0))
+        dataset = _load_source(_require(doc, "source"), seed)
+        if "keep_classes" in doc:
+            with _config_values("config.keep_classes"):
+                dataset = subset_classes(dataset, doc["keep_classes"])
+        if mode == "ncar":
+            observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
+        elif mode == "kernel":
+            if kernel.num_classes != dataset.num_classes:
+                raise SchemaError(f"kernel is {kernel.num_classes}-class but dataset has "
+                                  f"{dataset.num_classes} classes")
+            observed, chosen = inject_kernel(dataset.clean_labels, rate, kernel, seed)
+        else:  # nothing is contaminated, so the rate recorded is the 0 applied
+            observed, chosen, rate = dataset.clean_labels.copy(), np.empty(0, dtype=int), 0.0
+        dataset = ContaminatedDataset(dataset.features, observed, dataset.clean_labels,
+                                      chosen, dataset.num_classes)
     out = _resolve_output(_require(doc, "output"))
     out.parent.mkdir(parents=True, exist_ok=True)
     save_cache(out, dataset, seed=seed, rate=rate)
@@ -237,14 +253,12 @@ def cmd_train(args) -> int:
     for key in ("train_cache", "test_cache", "architecture", "train", "output_dir"):
         _require(doc, key)
     # every seed shares these, so a bad value fails the run once, before any seed starts
-    try:
+    with _config_values():
         seeds = [args.seed] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
         epsilon_test = [float(e) for e in (args.epsilon_test or doc.get("epsilon_test", []))]
         val_frac = float(doc.get("validation_fraction", 0.2))
         config = _train_config(doc, args.mode)
         arch = Architecture(tuple(doc["architecture"]))
-    except (ValueError, TypeError) as exc:  # InvalidInputError is a ValueError
-        raise SchemaError(f"config: {exc}") from exc
     if not all(0 <= e <= 1 for e in epsilon_test):
         raise SchemaError(f"config: epsilon_test values must lie in [0, 1], got {epsilon_test}")
     if not 0 <= val_frac < 1:
@@ -266,8 +280,10 @@ def cmd_train(args) -> int:
 
     shared = (arch, train_ds, test_ds, val_frac, epsilon_test, out_dir)
     summaries, failures = [], []
-    if args.workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork-started pool starts all its workers at the first submit, so size it to the seeds
+    workers = min(args.workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {seed: pool.submit(_run_one_seed, replace(config, seed=seed), *shared)
                        for seed in seeds}
             for seed, fut in futures.items():
@@ -413,6 +429,13 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rockrelax",
@@ -432,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=["erm", "rrm", "arrm"], default=None)
     p_train.add_argument("--epsilon-test", type=float, nargs="*", default=None,
                          help="post-training FGSM attack strengths to sweep")
-    p_train.add_argument("--workers", type=int, default=1,
-                         help="seed-parallel worker pool size")
+    p_train.add_argument("--workers", type=_positive_int, default=1,
+                         help="seed-parallel worker pool size (at most one per seed)")
     p_train.set_defaults(func=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the randomized verification suites")

@@ -39,6 +39,11 @@ class ContaminatedDataset:
         n = self.features.shape[0]
         if self.observed_labels.shape != (n,) or self.clean_labels.shape != (n,):
             raise InvalidInputError("label arrays disagree with feature count")
+        for labels in (self.observed_labels, self.clean_labels):
+            if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+                raise InvalidInputError(
+                    f"labels in [{labels.min()}, {labels.max()}] do not fit "
+                    f"{self.num_classes} classes [0, {self.num_classes})")
         differs = np.flatnonzero(self.observed_labels != self.clean_labels)
         if not np.array_equal(np.sort(self.contaminated_set), differs):
             raise InvalidInputError("contaminated_set must be exactly the set of flipped labels")
@@ -288,11 +293,14 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
             raise FormatError(
                 f"cache header n={header['n']}, dim={header['dim']} disagrees with "
                 f"features of shape {features.shape} in {path}")
-        dataset = ContaminatedDataset(
-            features=features,
-            observed_labels=z["observed_labels"],
-            clean_labels=z["clean_labels"],
-            contaminated_set=np.flatnonzero(z["contaminated_mask"]),
-            num_classes=int(z["num_classes"]),
-        )
+        try:
+            dataset = ContaminatedDataset(
+                features=features,
+                observed_labels=z["observed_labels"],
+                clean_labels=z["clean_labels"],
+                contaminated_set=np.flatnonzero(z["contaminated_mask"]),
+                num_classes=int(z["num_classes"]),
+            )
+        except InvalidInputError as exc:
+            raise FormatError(f"inconsistent cache {path}: {exc}") from exc
     return dataset, header

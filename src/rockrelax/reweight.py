@@ -24,9 +24,9 @@ from rockrelax.errors import InvalidInputError
 FEAS_TOL = 1e-12
 
 # Absolute tolerance for classifying a loss as sitting exactly on a
-# breakpoint (c_min or c_min + gamma).  Near-boundary points are folded
-# into I_min / I_big deterministically; any consistent rule is optimal
-# because boundary assignment is a degree of freedom of the solution set.
+# breakpoint (c_min or c_min + gamma).  Losses within it of c_min join I_min,
+# and losses within it of c_min + gamma are kept; any consistent rule is
+# optimal because boundary assignment is a degree of freedom of the solution set.
 PARTITION_TOL = 1e-9
 
 # Smallest positive gamma returned when auto-tuning degenerates (the
@@ -94,23 +94,17 @@ class WeightShift:
 
 @dataclass(frozen=True)
 class LossPartition:
-    """Four-way split of sample indices by loss position.
+    """The two index sets the closed form reads, out of n samples.
 
-    i_min holds losses at the minimum, i_mid losses strictly inside
-    (c_min, c_min + gamma), i_big losses exactly at c_min + gamma, and
-    chi losses above c_min + gamma (the pruned set).
+    i_min holds the losses at the minimum and chi the losses above
+    c_min + gamma (the pruned set); every other sample keeps its weight.
     """
 
     c_min: float
     gamma: float
+    n: int
     i_min: np.ndarray
-    i_mid: np.ndarray
-    i_big: np.ndarray
     chi: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.i_min.size + self.i_mid.size + self.i_big.size + self.chi.size
 
     @property
     def pruned_fraction(self) -> float:
@@ -141,24 +135,27 @@ class ReweightConfig:
             )
 
 
+def _pruned(c, upper):
+    """The pruning rule for a loss c outside I_min, with upper = c_min + gamma.
+
+    No loss in I_min passes it when upper > c_min.
+    """
+    return c - upper > PARTITION_TOL
+
+
 def partition_losses(c, gamma: float) -> LossPartition:
-    """Partition losses into i_min / i_mid / i_big / chi around the breakpoints."""
+    """Split out i_min and the pruned set chi around the breakpoints c_min and c_min + gamma."""
     c = _as_loss_vector(c)
     if not gamma > 0:
         raise InvalidInputError(f"gamma must be positive, got {gamma}")
     c_min = float(c.min())
-    upper = c_min + gamma
     is_min = c <= c_min + PARTITION_TOL
-    is_big = (~is_min) & (np.abs(c - upper) <= PARTITION_TOL)
-    is_chi = (~is_min) & (~is_big) & (c > upper)
-    is_mid = ~(is_min | is_big | is_chi)
     return LossPartition(
         c_min=c_min,
         gamma=float(gamma),
+        n=c.size,
         i_min=np.flatnonzero(is_min),
-        i_mid=np.flatnonzero(is_mid),
-        i_big=np.flatnonzero(is_big),
-        chi=np.flatnonzero(is_chi),
+        chi=np.flatnonzero(~is_min & _pruned(c, c_min + gamma)),
     )
 
 
@@ -187,10 +184,10 @@ def auto_tune_gamma(c, c_prime: float) -> float:
     Picks the largest distinct loss value ell above c_min for which
     `partition_losses(c, ell - c_min)` prunes a fraction >= c_prime (up to
     FEAS_TOL), then returns ell - c_min.  Pruning is counted with the
-    partition's own rule, so losses within PARTITION_TOL above ell (which
-    the partition puts in i_big) are not counted as pruned.  Tied losses
-    are kept or pruned together; where meeting c_prime would cut through a
-    tie, ell moves below the tie, so ties are resolved toward more pruning.
+    partition's own rule, `_pruned`, so losses within PARTITION_TOL above
+    ell are not counted as pruned.  Tied losses are kept or pruned
+    together; where meeting c_prime would cut through a tie, ell moves
+    below the tie, so ties are resolved toward more pruning.
     When no such ell exists (the quantile collapses onto the minimum loss)
     a tiny positive floor is returned so gamma stays valid.
 
@@ -213,10 +210,8 @@ def auto_tune_gamma(c, c_prime: float) -> float:
 
     def too_few_pruned(j: int) -> bool:
         upper = c_min + gamma_at(j)
-        # partition_losses prunes v iff v - upper > PARTITION_TOL (its other
-        # test, v > c_min + PARTITION_TOL, then holds as upper > c_min); the
-        # test is monotone in v, so the pruned losses are a suffix of s
-        first = bisect.bisect_left(s, True, key=lambda v: v - upper > PARTITION_TOL)
+        # the rule is monotone in v, so the pruned losses are a suffix of s
+        first = bisect.bisect_left(s, True, key=lambda v: _pruned(v, upper))
         return (n - first) / n < c_prime - FEAS_TOL
 
     # Candidates are the distinct values above c_min, j = 1 .. J-1.  The

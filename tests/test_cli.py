@@ -1,6 +1,6 @@
 import json
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from rockrelax import cli
 from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure,
                           _train_config, main)
-from rockrelax.data import ContaminatedDataset, load_cache, save_cache
+from rockrelax.data import ContaminatedDataset, load_cache, save_cache, write_idx
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
 from rockrelax.trainer import TrainConfig, accuracy
@@ -109,6 +109,37 @@ class TestInject:
         assert "config error: config.keep_classes" in capsys.readouterr().err
         assert not (tmp_path / "train_cache.npz").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("contamination", "rate", "abc"),
+        ("source", "samples_per_class", "ten"),
+        (None, "seed", "x"),
+        ("contamination", "rate", 1.5),
+        ("source", "separation", -1),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        doc = inject_config(tmp_path)
+        (doc[section] if section else doc)[key] = value
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
+        assert "config error: config: " in capsys.readouterr().err
+        assert not (tmp_path / "train_cache.npz").exists()
+
+    def test_num_classes_below_the_labels_rejected(self, tmp_path, capsys):
+        write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", np.zeros((6, 4)),
+                  np.array([0, 1, 2, 0, 1, 2]), rows=2, cols=2)
+        doc = inject_config(tmp_path, rate=0.0, mode="none")
+        doc["source"] = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                         "labels": str(tmp_path / "labels.idx"), "num_classes": 2}
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
+        assert "do not fit 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "train_cache.npz").exists()
+
+    def test_mode_none_records_the_applied_rate(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "i.json", inject_config(tmp_path, rate=0.4, mode="none"))
+        assert main(["inject", "--config", cfg]) == EXIT_OK
+        ds, header = load_cache(tmp_path / "train_cache.npz")
+        assert ds.contaminated_set.size == 0 and header["rate"] == 0.0
+        assert "|C|=0 rate=0.0 " in capsys.readouterr().out
+
 
 class TestTrain:
     def test_multi_seed_artifacts_and_aggregate(self, caches):
@@ -208,6 +239,51 @@ class TestTrain:
             theta_one = load_checkpoint(one / "checkpoint.npz")[0].theta
             theta_two = load_checkpoint(two / "checkpoint.npz")[0].theta
             assert np.array_equal(theta_one, theta_two)
+
+    def test_cache_header_below_its_labels_io_error(self, caches, capsys):
+        with np.load(caches / "train_cache.npz") as z:
+            arrays = dict(z)
+        arrays["num_classes"] = np.array(2)  # the labels reach class 2
+        np.savez_compressed(caches / "train_cache.npz", **arrays)
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg]) == EXIT_IO
+        assert "do not fit 2 classes" in capsys.readouterr().err
+
+    def test_pool_is_capped_at_the_seed_count(self, caches, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and runs each job at submit, starting no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg, "--workers", "64"]) == EXIT_OK
+        assert sizes == [2]
+        agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
+        assert agg["seeds"] == [0, 1]
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_rejected(self, caches, capsys, workers):
+        cfg = write_json(caches / "train.json", train_config(caches))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", cfg, "--workers", workers])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "--workers" in capsys.readouterr().err
+        assert not (caches / "runs").exists()
 
     def test_missing_cache_io_error(self, tmp_path):
         doc = train_config(tmp_path)

@@ -337,6 +337,17 @@ class TestCache:
         with pytest.raises(FormatError, match="disagrees"):
             load_cache(path)
 
+    def test_header_with_too_few_classes_rejected(self, tmp_path):
+        ds = toy_dataset(np.random.default_rng(12), n=30, rate=0.3, seed=13)
+        path = tmp_path / "cache.npz"
+        save_cache(path, ds, seed=13, rate=0.3)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["num_classes"] = np.array(2)  # the labels reach class 2
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(FormatError, match="do not fit 2 classes"):
+            load_cache(path)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
@@ -356,3 +367,17 @@ class TestInvariants:
         with pytest.raises(InvalidInputError):
             ContaminatedDataset(features, observed, clean, np.array([1]), 3)
         ContaminatedDataset(features, observed, clean, np.array([2]), 3)
+
+    @pytest.mark.parametrize("observed,clean,flipped", [
+        ([0, 1, 2, 3], [0, 1, 2, 0], [3]),  # an observed label only
+        ([0, 1, 2, -1], [0, 1, 2, -1], []),  # both labels of a clean sample
+        ([0, 1, 2, 0], [0, 1, 2, 3], [3]),  # a clean label only
+    ])
+    def test_labels_outside_the_classes_rejected(self, observed, clean, flipped):
+        with pytest.raises(InvalidInputError, match="do not fit 3 classes"):
+            ContaminatedDataset(np.zeros((4, 2)), np.array(observed), np.array(clean),
+                                np.array(flipped, dtype=int), 3)
+
+    def test_empty_dataset_accepted(self):
+        empty = np.empty(0, dtype=int)
+        assert ContaminatedDataset(np.zeros((0, 2)), empty, empty, empty, 3).n == 0

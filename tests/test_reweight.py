@@ -9,7 +9,6 @@ from rockrelax.reweight import (
     GAMMA_FLOOR_SCALE,
     KKT_BLOCK,
     PARTITION_TOL,
-    LossPartition,
     ReweightConfig,
     WeightShift,
     auto_tune_gamma,
@@ -66,7 +65,11 @@ def _check_kkt_oracle(c, u, gamma, tol=1e-9):
 
 
 def _partition_oracle(c, gamma):
-    """partition_losses as it stood before flatnonzero: each set gathered from arange(N)."""
+    """The former four-way partition_losses, each set gathered from arange(N).
+
+    i_mid holds losses strictly between the breakpoints and i_big losses
+    within PARTITION_TOL of c_min + gamma; both keep their weight.
+    """
     c = np.asarray(c, dtype=float)
     c_min = float(c.min())
     upper = c_min + gamma
@@ -75,8 +78,13 @@ def _partition_oracle(c, gamma):
     is_chi = (~is_min) & (~is_big) & (c > upper)
     is_mid = ~(is_min | is_big | is_chi)
     idx = np.arange(c.size)
-    return LossPartition(c_min=c_min, gamma=float(gamma), i_min=idx[is_min],
-                         i_mid=idx[is_mid], i_big=idx[is_big], chi=idx[is_chi])
+    return {"c_min": c_min, "gamma": float(gamma), "i_min": idx[is_min],
+            "i_mid": idx[is_mid], "i_big": idx[is_big], "chi": idx[is_chi]}
+
+
+def _kept(part):
+    """Indices outside i_min and chi: the samples whose weight the closed form leaves alone."""
+    return np.setdiff1d(np.arange(part.n), np.concatenate([part.i_min, part.chi]))
 
 
 # Loss vectors of length 1..60: arbitrary floats, or small integers with many ties.
@@ -121,37 +129,46 @@ class TestPartition:
     def test_index_sets_equal_arange_oracle(self, case):
         c, gamma = case
         got, want = partition_losses(c, gamma), _partition_oracle(c, gamma)
-        assert (got.c_min, got.gamma) == (want.c_min, want.gamma)
-        for name in ("i_min", "i_mid", "i_big", "chi"):
-            a, b = getattr(got, name), getattr(want, name)
+        assert (got.c_min, got.gamma) == (want["c_min"], want["gamma"])
+        assert got.n == sum(want[name].size for name in ("i_min", "i_mid", "i_big", "chi"))
+        for name in ("i_min", "chi"):
+            a, b = getattr(got, name), want[name]
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        np.testing.assert_array_equal(_kept(got), np.union1d(want["i_mid"], want["i_big"]))
 
     def test_four_way_example(self):
         part = partition_losses([1, 2, 5, 9], 3.0)
-        assert part.c_min == 1
+        assert part.c_min == 1 and part.n == 4
         assert part.i_min.tolist() == [0]
-        assert part.i_mid.tolist() == [1]
-        assert part.i_big.tolist() == []
         assert part.chi.tolist() == [2, 3]
+        assert _kept(part).tolist() == [1]
 
     def test_constant_losses_all_min(self):
         part = partition_losses([7, 7, 7], 0.5)
+        assert part.n == 3
         assert part.i_min.tolist() == [0, 1, 2]
-        assert part.i_mid.size == part.i_big.size == part.chi.size == 0
+        assert part.chi.size == 0
 
     def test_boundary_lands_in_big(self):
+        # a loss on the upper breakpoint is neither minimal nor pruned
         part = partition_losses([0.0, 2.0], 2.0)
         assert part.i_min.tolist() == [0]
-        assert part.i_big.tolist() == [1]
         assert part.chi.size == 0
+        assert _kept(part).tolist() == [1]
 
     def test_partitions_all_indices(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             c = rng.uniform(0, 10, size=rng.integers(1, 20))
-            part = partition_losses(c, rng.uniform(0.1, 5))
-            combined = np.concatenate([part.i_min, part.i_mid, part.i_big, part.chi])
-            assert sorted(combined.tolist()) == list(range(c.size))
+            gamma = rng.uniform(0.1, 5)
+            part = partition_losses(c, gamma)
+            assert part.n == c.size
+            assert np.intersect1d(part.i_min, part.chi).size == 0
+            assert np.all(c[part.i_min] <= part.c_min + PARTITION_TOL)
+            assert np.all(c[part.chi] - (part.c_min + gamma) > PARTITION_TOL)
+            kept = c[_kept(part)]
+            assert np.all((kept > part.c_min + PARTITION_TOL)
+                          & (kept - (part.c_min + gamma) <= PARTITION_TOL))
 
     def test_scale_shift_equivariance(self):
         rng = np.random.default_rng(1)
@@ -160,9 +177,9 @@ class TestPartition:
         base = partition_losses(c, gamma)
         for alpha, beta in [(2.0, 0.0), (0.5, 3.0), (7.0, -1.0)]:
             other = partition_losses(alpha * c + beta, alpha * gamma)
-            for a, b in zip((base.i_min, base.i_mid, base.i_big, base.chi),
-                            (other.i_min, other.i_mid, other.i_big, other.chi)):
-                assert a.tolist() == b.tolist()
+            assert other.n == base.n
+            assert other.i_min.tolist() == base.i_min.tolist()
+            assert other.chi.tolist() == base.chi.tolist()
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
@@ -205,8 +222,7 @@ class TestSolveReweight:
             u = solve_reweight(c, gamma)
             part = partition_losses(c, gamma)
             assert np.all(u.shifts[part.chi] == -1.0 / c.size)
-            assert np.all(u.shifts[part.i_mid] == 0.0)
-            assert np.all(u.shifts[part.i_big] == 0.0)
+            assert np.all(u.shifts[_kept(part)] == 0.0)
 
     def test_feasibility(self):
         rng = np.random.default_rng(4)

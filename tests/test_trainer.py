@@ -187,8 +187,7 @@ class TestPrunedMetrics:
     @staticmethod
     def partition(chi):
         rest = np.setdiff1d(np.arange(8), chi)
-        return LossPartition(0.0, 0.4, i_min=rest[:2], i_mid=rest[2:], i_big=np.empty(0, int),
-                             chi=np.asarray(chi, dtype=int))
+        return LossPartition(0.0, 0.4, 8, i_min=rest[:2], chi=np.asarray(chi, dtype=int))
 
     def test_counts_on_hand_built_partition(self):
         # chi = {0, 1, 3}, C = {1, 3, 5, 6}: two hits
@@ -237,7 +236,8 @@ class TestReweightStep:
         u_b, part_b = reweight_step(model, train, u_prev, cfg, losses=c)
         assert np.array_equal(u_a.shifts, u_b.shifts)
         assert (part_a.c_min, part_a.gamma) == (part_b.c_min, part_b.gamma)
-        for name in ("i_min", "i_mid", "i_big", "chi"):
+        assert part_a.n == part_b.n == train.n
+        for name in ("i_min", "chi"):
             assert np.array_equal(getattr(part_a, name), getattr(part_b, name))
         assert part_a.chi.size > 0
 
