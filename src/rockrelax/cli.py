@@ -1,7 +1,7 @@
 """Command-line harness: inject, train, verify, report.
 
-Configs are strict JSON documents (unknown keys rejected, schema
-versioned).  Every artifact embeds its config so results trace back to
+Configs are strict JSON documents (every key typed, unknown keys rejected,
+schema versioned).  Every artifact embeds its config so results trace back to
 exact inputs.  Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numeric,
 5 verification failure.
 """
@@ -53,43 +53,50 @@ OUTPUT_ROOT_ENV = "ROCKRELAX_OUTPUT_ROOT"
 
 # ---------------------------------------------------------------- config
 
-def _check_keys(doc: dict, allowed: dict, context: str):
-    """Reject unknown keys and recurse into nested sections."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: expected an object")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
-    for key, sub in allowed.items():
-        if isinstance(sub, dict) and key in doc:
-            _check_keys(doc[key], sub, f"{context}.{key}")
-
-
 INJECT_SCHEMA = {
-    "schema_version": None,
-    "source": {"kind": None, "images": None, "labels": None, "num_classes": None,
-               "samples_per_class": None, "input_dim": None, "separation": None},
-    "keep_classes": None,
-    "contamination": {"mode": None, "rate": None, "kernel_path": None},
-    "seed": None,
-    "output": None,
+    "schema_version": int,
+    "source": {"kind": str, "images": str, "labels": str, "num_classes": int,
+               "samples_per_class": int, "input_dim": int, "separation": float},
+    "keep_classes": [int],
+    "contamination": {"mode": str, "rate": float, "kernel_path": str},
+    "seed": int,
+    "output": str,
 }
 
 TRAIN_SCHEMA = {
-    "schema_version": None,
-    "train_cache": None,
-    "test_cache": None,
-    "validation_fraction": None,
-    "architecture": None,
-    "train": {"mode": None, "loss": None, "epsilon_train": None,
-              "epochs_per_iteration": None, "batch_size": None,
-              "learning_rate": None, "gamma": None, "mu": None,
-              "contamination_estimate": None, "max_iterations": None,
-              "patience": None},
-    "seeds": None,
-    "epsilon_test": None,
-    "output_dir": None,
+    "schema_version": int,
+    "train_cache": str,
+    "test_cache": str,
+    "validation_fraction": float,
+    "architecture": [int],
+    "train": {"mode": str, "loss": str, "epsilon_train": float,
+              "epochs_per_iteration": int, "batch_size": int,
+              "learning_rate": float, "gamma": float, "mu": float,
+              "contamination_estimate": float, "max_iterations": int,
+              "patience": int},
+    "seeds": [int],
+    "epsilon_test": [float],
+    "output_dir": str,
 }
+
+
+def _check(value, spec, context: str):
+    """`value` checked against `spec`: a type, `[type]` for an array, or a dict for an object.
+    JSON true/false is never a number; an int where a float is declared becomes a float."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{context}: expected an object, got {value!r}")
+        if unknown := set(value) - set(spec):
+            raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
+        return {key: _check(v, spec[key], f"{context}.{key}") for key, v in value.items()}
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise SchemaError(f"{context}: expected an array, got {value!r}")
+        return [_check(v, spec[0], f"{context}[{i}]") for i, v in enumerate(value)]
+    accepted = (int, float) if spec is float else spec
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{context}: expected {spec.__name__}, got {value!r}")
+    return spec(value)
 
 
 def load_config(path, schema: dict) -> dict:
@@ -100,9 +107,9 @@ def load_config(path, schema: dict) -> dict:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(doc, schema, "config")
+    doc = _check(doc, schema, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"config schema_version must be {SCHEMA_VERSION}")
+        raise SchemaError(f"config.schema_version: must be {SCHEMA_VERSION}")
     return doc
 
 
@@ -121,7 +128,7 @@ def _require(doc: dict, key: str, context: str = "config"):
 
 
 @contextmanager
-def _config_values(context: str = "config"):
+def _config_values(context: str):
     """Report a ValueError or TypeError raised by a bad config value as SchemaError.
 
     SchemaError and FormatError (a fault in a file the config names) pass unchanged.
@@ -141,17 +148,13 @@ def _load_source(source: dict, seed: int) -> ContaminatedDataset:
     if kind == "idx":
         features, labels = load_idx(_require(source, "images", "config.source"),
                                     _require(source, "labels", "config.source"))
-        num_classes = int(source.get("num_classes", int(labels.max()) + 1))
+        num_classes = source.get("num_classes", int(labels.max()) + 1)
         return ContaminatedDataset.clean(features, labels, num_classes)
     if kind == "blobs":
-        return make_synthetic_blobs(
-            int(_require(source, "num_classes", "config.source")),
-            int(_require(source, "samples_per_class", "config.source")),
-            int(_require(source, "input_dim", "config.source")),
-            float(_require(source, "separation", "config.source")),
-            seed=seed,
-        )
-    raise SchemaError(f"config.source.kind must be 'idx' or 'blobs', got {kind!r}")
+        keys = ("num_classes", "samples_per_class", "input_dim", "separation")
+        return make_synthetic_blobs(*(_require(source, k, "config.source") for k in keys),
+                                    seed=seed)
+    raise SchemaError(f"config.source.kind: expected 'idx' or 'blobs', got {kind!r}")
 
 
 def cmd_inject(args) -> int:
@@ -159,23 +162,24 @@ def cmd_inject(args) -> int:
     cont = doc.get("contamination", {"mode": "none"})
     mode = cont.get("mode", "none")
     if mode not in ("ncar", "kernel", "none"):
-        raise SchemaError(f"contamination mode must be ncar|kernel|none, got {mode!r}")
+        raise SchemaError(f"config.contamination.mode: expected ncar|kernel|none, got {mode!r}")
     if mode == "kernel":
         # a fault in the kernel file is the file's, not the config's
         kernel = ContaminationKernel.from_file(_require(cont, "kernel_path", "config.contamination"))
-    with _config_values():
-        seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-        rate = float(cont.get("rate", 0.0))
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    rate = cont.get("rate", 0.0)
+    with _config_values("config.source"):
         dataset = _load_source(_require(doc, "source"), seed)
-        if "keep_classes" in doc:
-            with _config_values("config.keep_classes"):
-                dataset = subset_classes(dataset, doc["keep_classes"])
+    if "keep_classes" in doc:
+        with _config_values("config.keep_classes"):
+            dataset = subset_classes(dataset, doc["keep_classes"])
+    with _config_values("config.contamination"):
         if mode == "ncar":
             observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
         elif mode == "kernel":
             if kernel.num_classes != dataset.num_classes:
-                raise SchemaError(f"kernel is {kernel.num_classes}-class but dataset has "
-                                  f"{dataset.num_classes} classes")
+                raise SchemaError(f"config.contamination.kernel_path: a {kernel.num_classes}"
+                                  f"-class kernel for a {dataset.num_classes}-class dataset")
             observed, chosen = inject_kernel(dataset.clean_labels, rate, kernel, seed)
         else:  # nothing is contaminated, so the rate recorded is the 0 applied
             observed, chosen, rate = dataset.clean_labels.copy(), np.empty(0, dtype=int), 0.0
@@ -190,22 +194,14 @@ def cmd_inject(args) -> int:
 
 # ----------------------------------------------------------------- train
 
-# Numeric keys of the `train` section that map one-to-one onto TrainConfig fields.
-_TRAIN_CASTS = {"epsilon_train": float, "epochs_per_iteration": int, "batch_size": int,
-                "learning_rate": float, "max_iterations": int, "patience": int}
-
-
 def _train_config(doc: dict, mode_override: str | None) -> TrainConfig:
     """TrainConfig from the `train` section; a key it leaves out keeps the dataclass default."""
-    t = _require(doc, "train")
-    kw = {key: cast(t[key]) for key, cast in _TRAIN_CASTS.items() if key in t}
-    if mode_override or "mode" in t:
-        kw["mode"] = mode_override or t["mode"]
-    if "loss" in t:
-        kw["loss_kind"] = LossKind(t["loss"])
-    rw = {key: float(t[key]) for key in ("gamma", "mu") if key in t}
-    if "contamination_estimate" in t:
-        rw["contamination_estimate"] = t["contamination_estimate"]
+    kw = dict(_require(doc, "train"))
+    if mode_override:
+        kw["mode"] = mode_override
+    if "loss" in kw:
+        kw["loss_kind"] = LossKind(kw.pop("loss"))
+    rw = {key: kw.pop(key) for key in ("gamma", "mu", "contamination_estimate") if key in kw}
     return TrainConfig(reweight=ReweightConfig(**rw), **kw)
 
 
@@ -253,16 +249,19 @@ def cmd_train(args) -> int:
     for key in ("train_cache", "test_cache", "architecture", "train", "output_dir"):
         _require(doc, key)
     # every seed shares these, so a bad value fails the run once, before any seed starts
-    with _config_values():
-        seeds = [args.seed] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
-        epsilon_test = [float(e) for e in (args.epsilon_test or doc.get("epsilon_test", []))]
-        val_frac = float(doc.get("validation_fraction", 0.2))
+    seeds = [args.seed] if args.seed is not None else doc.get("seeds", [0])
+    epsilon_test = args.epsilon_test or doc.get("epsilon_test", [])
+    val_frac = doc.get("validation_fraction", 0.2)
+    with _config_values("config.train"):
         config = _train_config(doc, args.mode)
+    with _config_values("config.architecture"):
         arch = Architecture(tuple(doc["architecture"]))
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise SchemaError(f"config.seeds: must be non-empty and distinct, got {seeds}")
     if not all(0 <= e <= 1 for e in epsilon_test):
-        raise SchemaError(f"config: epsilon_test values must lie in [0, 1], got {epsilon_test}")
+        raise SchemaError(f"config.epsilon_test: values must lie in [0, 1], got {epsilon_test}")
     if not 0 <= val_frac < 1:
-        raise SchemaError(f"config: validation_fraction must lie in [0, 1), got {val_frac}")
+        raise SchemaError(f"config.validation_fraction: must lie in [0, 1), got {val_frac}")
     train_ds, _ = load_cache(doc["train_cache"])
     test_ds, _ = load_cache(doc["test_cache"])
     for key, ds in (("train_cache", train_ds), ("test_cache", test_ds)):
@@ -402,11 +401,11 @@ def cmd_report(args) -> int:
             )
     table_txt = "\n".join(lines)
     (out_dir / "comparison.txt").write_text(table_txt + "\n")
-    with open(out_dir / "comparison.csv", "w") as f:
-        f.write("run,mode,test_at_peak_val_mean,test_at_peak_val_std,"
-                "max_test_mean,max_test_std\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+    with open(out_dir / "comparison.csv", "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["run", "mode", "test_at_peak_val_mean", "test_at_peak_val_std",
+                    "max_test_mean", "max_test_std"])
+        w.writerows(rows)
 
     # weight-evolution export: iterations x buckets x {contaminated, clean}
     with open(out_dir / "weight_evolution.csv", "w", newline="") as f:

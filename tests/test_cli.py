@@ -1,13 +1,17 @@
+import csv
 import json
 import multiprocessing
+import re
 from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rockrelax import cli
-from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, _failure,
-                          _train_config, main)
+from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY,
+                          INJECT_SCHEMA, TRAIN_SCHEMA, _failure, _train_config, load_config,
+                          main)
 from rockrelax.data import ContaminatedDataset, load_cache, save_cache, write_idx
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
@@ -120,7 +124,11 @@ class TestInject:
         doc = inject_config(tmp_path)
         (doc[section] if section else doc)[key] = value
         assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
-        assert "config error: config: " in capsys.readouterr().err
+        # a wrong type is caught at load and names its key; a value out of range is
+        # caught by the constructor that reads the section, which the error names
+        path = ".".join(filter(None, ("config", section, key)))
+        expected = path if isinstance(value, str) else f"config.{section}"
+        assert capsys.readouterr().err.startswith(f"config error: {expected}: ")
         assert not (tmp_path / "train_cache.npz").exists()
 
     def test_num_classes_below_the_labels_rejected(self, tmp_path, capsys):
@@ -291,6 +299,65 @@ class TestTrain:
         assert main(["train", "--config", cfg]) != EXIT_OK
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("command,path,value", [
+        ("inject", "keep_classes", "02"),
+        ("inject", "source.samples_per_class", "40"),
+        ("train", "architecture", "583"),
+        ("train", "seeds", "01"),
+        ("train", "train.batch_size", True),
+        ("train", "train.epochs_per_iteration", 1.9),
+        ("train", "train.epochs_per_iteration", 2.0),
+        ("train", "train.contamination_estimate", True),
+        ("train", "train.contamination_estimate", None),
+        ("train", "epsilon_test[0]", [True]),
+        ("train", "seeds", []),
+        ("train", "seeds", [3, 3]),
+    ])
+    def test_bad_value_names_its_key(self, caches, capsys, command, path, value):
+        doc = (inject_config(caches, out="new_cache.npz") if command == "inject"
+               else train_config(caches))
+        *parents, key = path.split("[")[0].split(".")
+        section = doc
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        cfg = write_json(caches / "config.json", doc)
+        assert main([command, "--config", cfg]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(f"config error: config.{path}: ")
+        assert not (caches / "new_cache.npz").exists() and not (caches / "runs").exists()
+
+    def test_duplicate_seed_rejected_before_the_pool_starts(self, caches, capsys):
+        doc = train_config(caches)
+        doc["seeds"] = [4, 4]
+        cfg = write_json(caches / "train.json", doc)
+        assert main(["train", "--config", cfg, "--workers", "2"]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("config error: config.seeds: ")
+        assert not (caches / "runs").exists()
+
+    def test_integer_where_float_declared_loads_and_trains(self, caches):
+        doc = inject_config(caches, out="int_separation.npz", separation=8)
+        assert main(["inject", "--config", write_json(caches / "i.json", doc)]) == EXIT_OK
+        from_int, _ = load_cache(caches / "int_separation.npz")
+        from_float, _ = load_cache(caches / "train_cache.npz")
+        assert np.array_equal(from_int.features, from_float.features)
+        doc = train_config(caches)
+        doc["train"]["learning_rate"] = 1
+        doc["seeds"] = [0]
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_OK
+        agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
+        assert agg["seeds"] == [0] and agg["failed_seeds"] == []
+        assert isinstance(agg["config"]["train"]["learning_rate"], float)
+
+    def test_readme_configs_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 2
+        for block, schema in zip(blocks, (INJECT_SCHEMA, TRAIN_SCHEMA)):
+            (tmp_path / "config.json").write_text(block)
+            assert load_config(tmp_path / "config.json", schema)["schema_version"] == 1
+
+
 def failing_seed_one(real_run):
     def run(train, validation, test, config, architecture):
         if config.seed == 1:
@@ -405,6 +472,20 @@ class TestReport:
         assert len(evolution) == 1 + 2 * 2 * 2 * 6 * 2
         text = (out / "comparison.txt").read_text()
         assert "(" in text and "erm" in text
+
+    def test_comparison_csv_quotes_a_comma_in_the_run_name(self, caches):
+        doc = train_config(caches)
+        doc["seeds"] = [0]
+        doc["output_dir"] = str(caches / "runs" / "a,b")
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_OK
+        out = caches / "report"
+        assert main(["report", doc["output_dir"], "--output-dir", str(out)]) == EXIT_OK
+        with open(out / "comparison.csv", newline="") as f:
+            header, row = csv.reader(f)
+        assert len(header) == len(row) == 6
+        assert row[:2] == ["a,b", "rrm"]
+        agg = json.loads((caches / "runs" / "a,b" / "aggregate.json").read_text())
+        assert float(row[2]) == agg["test_at_peak_validation_mean"]
 
     def test_missing_artifacts_listed(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_IO
