@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -82,7 +83,8 @@ TRAIN_SCHEMA = {
 
 def _check(value, spec, context: str):
     """`value` checked against `spec`: a type, `[type]` for an array, or a dict for an object.
-    JSON true/false is never a number; an int where a float is declared becomes a float."""
+    JSON true/false is never a number; an int where a float is declared becomes a float,
+    and a float must be finite (JSON's Infinity, NaN and 1e400 parse, but are rejected)."""
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise SchemaError(f"{context}: expected an object, got {value!r}")
@@ -96,7 +98,15 @@ def _check(value, spec, context: str):
     accepted = (int, float) if spec is float else spec
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise SchemaError(f"{context}: expected {spec.__name__}, got {value!r}")
-    return spec(value)
+    if spec is not float:
+        return spec(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(f"{context}: integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def load_config(path, schema: dict) -> dict:
@@ -105,7 +115,7 @@ def load_config(path, schema: dict) -> dict:
             doc = json.load(f)
     except OSError as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
     doc = _check(doc, schema, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:

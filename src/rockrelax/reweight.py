@@ -170,11 +170,18 @@ def solve_reweight(c, gamma: float) -> WeightShift:
 
 
 def blend_weights(u_prev: WeightShift, u_star: WeightShift, mu: float) -> WeightShift:
-    """Convex blend mu * u_star + (1 - mu) * u_prev; stays feasible by convexity."""
+    """Convex blend mu * u_star + (1 - mu) * u_prev; stays feasible by convexity.
+
+    At mu = 1 u_star itself is returned: 1.0 * u* is u*, and 0 * u_prev
+    adds only signed zeros for a finite u_prev, so the arithmetic would
+    change no bit of a u* without -0.0 entries (as `from_partition` builds).
+    """
     if u_prev.n != u_star.n:
         raise InvalidInputError(f"length mismatch: {u_prev.n} vs {u_star.n}")
     if not 0 < mu <= 1:
         raise InvalidInputError(f"mu must lie in (0, 1], got {mu}")
+    if mu == 1:
+        return u_star
     return WeightShift(mu * u_star.shifts + (1.0 - mu) * u_prev.shifts)
 
 

@@ -327,6 +327,38 @@ class TestConfigTypes:
         assert capsys.readouterr().err.startswith(f"config error: config.{path}: ")
         assert not (caches / "new_cache.npz").exists() and not (caches / "runs").exists()
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400", "9" * 400],
+                             ids=["inf", "-inf", "nan", "1e400", "400-digit-int"])
+    @pytest.mark.parametrize("command,path", [
+        ("train", "train.learning_rate"),
+        ("train", "epsilon_test[0]"),
+        ("inject", "contamination.rate"),
+    ])
+    def test_non_finite_float_names_its_key(self, caches, capsys, command, path, literal):
+        # Python's json parses these; a float key must still hold a finite number
+        doc = (inject_config(caches, out="new_cache.npz") if command == "inject"
+               else train_config(caches))
+        *parents, key = path.split("[")[0].split(".")
+        section = doc
+        for parent in parents:
+            section = section[parent]
+        section[key] = ["@raw@"] if path.endswith("]") else "@raw@"
+        cfg = caches / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"@raw@"', literal))
+        assert main([command, "--config", str(cfg)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.{path}: ") and "Traceback" not in err
+        assert not (caches / "new_cache.npz").exists() and not (caches / "runs").exists()
+
+    def test_integer_too_long_to_parse_is_a_config_error(self, caches, capsys):
+        doc = train_config(caches)
+        doc["train"]["learning_rate"] = "@raw@"
+        cfg = caches / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"@raw@"', "9" * 5000))
+        assert main(["train", "--config", str(cfg)]) == EXIT_SCHEMA
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not (caches / "runs").exists()
+
     def test_duplicate_seed_rejected_before_the_pool_starts(self, caches, capsys):
         doc = train_config(caches)
         doc["seeds"] = [4, 4]

@@ -3,6 +3,7 @@ import pytest
 
 from rockrelax.errors import InvalidInputError, NumericError
 from rockrelax.models import (
+    CLASS_MAJOR_MAX_K,
     MNIST3_WIDTHS,
     Architecture,
     LossKind,
@@ -364,6 +365,77 @@ class TestForwardAndLossMatchOracle:
                     LossKind.MAE: np.abs(r).sum(axis=1),
                     LossKind.MSE: (r ** 2).sum(axis=1)}[kind]
         assert np.array_equal(loss_per_sample(probs, labels, kind), expected)
+
+
+# Full-set passes: class by class up to CLASS_MAJOR_MAX_K outputs, numpy's
+# row reductions from 8 on (numpy sums rows of 8 or more pairwise).
+LARGE_ROWS = 20_000
+ALL_K = range(1, 11)
+
+
+class TestClassMajorPasses:
+    @pytest.mark.parametrize("k", ALL_K)
+    def test_forward_equals_oracle_at_large_n(self, k):
+        rng = np.random.default_rng(40 + k)
+        model = small_model(rng, (6, 9, k))
+        x = rng.uniform(-3.0, 3.0, size=(LARGE_ROWS, 6))
+        got = forward(model, x)
+        assert np.array_equal(got, forward_oracle(model, x))
+        # class-major memory up to 7 classes, row-major from 8
+        assert got.flags.f_contiguous == (k <= CLASS_MAJOR_MAX_K)
+        assert got.flags.c_contiguous == (k == 1 or k > CLASS_MAJOR_MAX_K)
+
+    @pytest.mark.parametrize("k", ALL_K)
+    def test_tied_logits_equal_oracle_at_large_n(self, k):
+        # columns tie in pairs, so most rows tie at the top; zero rows tie every logit
+        rng = np.random.default_rng(50 + k)
+        model = small_model(rng, (6, 9, k))
+        last = model.matrices()[-1]
+        last[:, 1::2] = last[:, 0:k - 1:2]
+        x = rng.uniform(size=(LARGE_ROWS, 6))
+        x[::5] = 0.0
+        assert np.array_equal(forward(model, x), forward_oracle(model, x))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("k", ALL_K)
+    def test_overflowing_logits_equal_oracle_at_large_n(self, k):
+        rng = np.random.default_rng(60 + k)
+        arch = Architecture((3, k))
+        model = ModelState(arch, rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=arch.num_params))
+        x = rng.choice([-1e308, 1e308, 0.0, 1.0], size=(LARGE_ROWS, 3))
+        got, want = forward(model, x), forward_oracle(model, x)
+        assert np.isnan(want).any() and np.isfinite(want).all(axis=1).any()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("k", ALL_K)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_loss_equals_oracle_in_either_layout(self, kind, k):
+        rng = np.random.default_rng(70 + k)
+        probs = rng.dirichlet(np.ones(k), size=LARGE_ROWS)
+        probs[::7] = rng.choice([0.0, 0.5, 1.0, np.nan], size=(probs[::7].shape))
+        labels = rng.integers(0, k, size=LARGE_ROWS)
+        r = _residual(probs, labels)
+        expected = {LossKind.CCE: -np.log(np.maximum(probs[np.arange(LARGE_ROWS), labels], 1e-12)),
+                    LossKind.MAE: np.abs(r).sum(axis=1),
+                    LossKind.MSE: (r ** 2).sum(axis=1)}[kind]
+        for layout in (probs, np.asfortranarray(probs)):
+            saved = layout.copy(order="K")
+            read_only(layout)
+            assert np.array_equal(loss_per_sample(layout, labels, kind), expected, equal_nan=True)
+            assert np.array_equal(layout, saved, equal_nan=True)
+
+    @pytest.mark.parametrize("k", ALL_K)
+    def test_forward_result_is_fresh_and_read_only_loss_accepts_it(self, k):
+        rng = np.random.default_rng(80 + k)
+        model = small_model(rng, (4, k))
+        x, y = rng.uniform(size=(LARGE_ROWS, 4)), rng.integers(0, k, size=LARGE_ROWS)
+        a, b = forward(model, x), forward(model, x)
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, x)
+        want = {kind: loss_per_sample(b, y, kind) for kind in ALL_KINDS}
+        read_only(a)
+        for kind in ALL_KINDS:
+            assert np.array_equal(loss_per_sample(a, y, kind), want[kind])
 
 
 def read_only(*arrays):

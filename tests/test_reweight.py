@@ -253,9 +253,28 @@ class TestBlend:
         assert abs(out.shifts.sum()) <= 1e-12 * n
         assert np.all(out.shifts >= -1.0 / n - 1e-12)
 
+    def test_mu_one_equals_the_blend_arithmetic(self):
+        # returning u_star at mu = 1 changes no bit of what the arithmetic gives
+        rng = np.random.default_rng(6)
+        c = rng.exponential(size=500)
+        u_star = WeightShift.from_partition(partition_losses(c, auto_tune_gamma(c, 0.4)))
+        u_prev = random_shift(rng, 500)
+        arithmetic = 1.0 * u_star.shifts + (1.0 - 1.0) * u_prev.shifts
+        out = blend_weights(u_prev, u_star, 1.0).shifts
+        assert out.tobytes() == arithmetic.tobytes()
+
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             blend_weights(WeightShift.zero(3), WeightShift.zero(4), 0.5)
+
+    def test_length_mismatch_at_mu_one(self):
+        with pytest.raises(InvalidInputError, match="length mismatch"):
+            blend_weights(WeightShift.zero(3), WeightShift.zero(4), 1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.5, float("nan")])
+    def test_mu_outside_unit_interval(self, mu):
+        with pytest.raises(InvalidInputError, match="mu must lie"):
+            blend_weights(WeightShift.zero(3), WeightShift.zero(3), mu)
 
 
 class TestAutoTune:

@@ -379,6 +379,19 @@ class TestRun:
         assert len(calls) == 3 * len(rec.iterations)
         assert calls[:3] == [train.n, val.n, test.n]
 
+    def test_train_accuracy_is_numpy_argmax_of_the_loss_pass(self, monkeypatch):
+        passes = []
+
+        def recording_forward(model, features):
+            passes.append(forward(model, features))
+            return passes[-1]
+
+        monkeypatch.setattr(trainer, "forward", recording_forward)
+        train, val, test = blob_splits(18)
+        _, rec = run(train, val, test, config(max_iterations=3), ARCH)
+        for r, probs in zip(rec.iterations, passes[::3]):
+            assert r.train_accuracy == np.mean(probs.argmax(axis=1) == train.observed_labels)
+
     def test_peak_model_is_the_reported_one(self):
         train, val, test = blob_splits(17, rate=0.3)
         model, rec = run(train, val, test, config(max_iterations=5, learning_rate=0.3), ARCH)
@@ -416,6 +429,25 @@ class TestRun:
         summary = rec.summary()
         assert summary["iterations_run"] == len(rec.iterations)
         assert 0 <= summary["test_at_peak_validation"] <= 1
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_equals_numpy_argmax(self, k, monkeypatch):
+        # ties, NaN-first and NaN-later rows all occur, in either memory order
+        rng = np.random.default_rng(k)
+        values = np.array([0.0, 0.25, 0.5, 1.0, np.inf, np.nan])
+        probs = rng.choice(values, p=[0.3, 0.2, 0.2, 0.15, 0.05, 0.1], size=(5000, k))
+        labels = rng.integers(0, k, size=5000)
+        top = np.nanmax(np.where(np.isnan(probs), -1.0, probs), axis=1)
+        nan_first = np.isnan(probs[:, 0])
+        nan_later = np.isnan(probs).any(axis=1) & ~nan_first
+        ties = ((probs == top[:, None]).sum(axis=1) > 1) & ~np.isnan(probs).any(axis=1)
+        assert nan_first.any() and (k == 1 or (nan_later.any() and ties.any()))
+        features = np.zeros((5000, 1))
+        for layout in (probs, np.asfortranarray(probs)):
+            monkeypatch.setattr(trainer, "forward", lambda model, x, p=layout: p)
+            assert accuracy(None, features, labels) == np.mean(probs.argmax(axis=1) == labels)
 
 
 class TestAdversarial:
