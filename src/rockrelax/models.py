@@ -9,14 +9,14 @@ Layers carry no bias terms: the reference digit-classification MLP
 parameters alone.  Bias-capable layers can be emulated by appending a
 constant feature.
 
-Full-set passes over few classes run class by class.  For k <= 7 classes
-(`CLASS_MAJOR_MAX_K`) `forward` returns its (n, k) probabilities in
-class-major memory (Fortran order: the transpose of a C-contiguous (k, n)
-array), so its softmax, `loss_per_sample`'s MAE/MSE row sums and
-`argmax_classes` each work on k long contiguous columns instead of n rows
-of k.  A class-by-class sum equals numpy's row sum only below 8 columns:
+Full-set passes over few classes run their softmax class by class.  For
+k <= 7 classes (`CLASS_MAJOR_MAX_K`) `forward` copies the (n, k) logits
+once into a (k, n) class-major array, so the softmax maximum, exp, sum and
+division each work on k long contiguous rows instead of n rows of k; the
+division writes a fresh C-order (n, k) result, the layout every caller
+gets.  A class-by-class sum equals numpy's row sum only below 8 columns:
 from 8 on, numpy sums each row pairwise, so wider outputs keep numpy's
-row-major reductions and every result stays bit-exact.
+row-major reduction and every result stays bit-exact.
 """
 
 from __future__ import annotations
@@ -156,46 +156,27 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a @ a)) or bool(np.all(np.isfinite(a)))
 
 
-def _sum_classes(p: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, k) array in any memory order, bit-equal to numpy's
-    sum over the rows of its C-contiguous copy.
+def _softmax_classes(z: np.ndarray) -> np.ndarray:
+    """Softmax over each column of a C-contiguous (k, n) array of logits,
+    k <= CLASS_MAJOR_MAX_K, as a fresh C-order (n, k) array; `z` is
+    overwritten.
 
-    Up to CLASS_MAJOR_MAX_K columns they are added column by column, which
-    is numpy's order for such rows and runs over contiguous columns of a
-    class-major array; wider (and empty) rows are summed row-major by numpy.
+    The maximum, exp and class-order sum run over contiguous class rows,
+    and the final division writes the transposed result.  The values equal
+    the row-major softmax bit for bit: every step is elementwise except
+    the sum, which numpy adds in class order for rows of fewer than 8.
     """
-    k = p.shape[1]
-    if not 0 < k <= CLASS_MAJOR_MAX_K:
-        return np.ascontiguousarray(p).sum(axis=1)
-    s = p[:, 0].copy()
-    for j in range(1, k):
-        s += p[:, j]
-    return s
-
-
-def argmax_classes(probs: np.ndarray) -> np.ndarray:
-    """Index of each row's largest entry, equal to `probs.argmax(axis=1)`.
-
-    Like numpy it takes the first maximum and counts NaN as the largest
-    value.  Up to CLASS_MAJOR_MAX_K columns it works column by column:
-    the row maximum, then the number of leading columns that miss it; rows
-    whose maximum is NaN take their first NaN.
-    """
-    k = probs.shape[1]
-    if not 0 < k <= CLASS_MAJOR_MAX_K:
-        return probs.argmax(axis=1)
-    top = probs[:, 0].copy()
-    for j in range(1, k):
-        np.maximum(top, probs[:, j], out=top)  # NaN wins, as in argmax
-    idx = np.zeros(probs.shape[0], dtype=np.intp)
-    miss = np.ones(probs.shape[0], dtype=bool)
-    for j in range(k - 1):  # idx counts the leading columns that miss the maximum
-        miss &= probs[:, j] != top
-        idx += miss
-    nan = np.isnan(top)
-    if nan.any():
-        idx[nan] = np.isnan(probs[nan]).argmax(axis=1)
-    return idx
+    top = z[0].copy()
+    for zj in z[1:]:
+        np.maximum(top, zj, out=top)
+    z -= top
+    np.exp(z, out=z)
+    total = z[0].copy()
+    for zj in z[1:]:
+        total += zj
+    probs = np.empty(z.shape[::-1])
+    np.divide(z, total, out=probs.T)
+    return probs
 
 
 def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
@@ -203,8 +184,7 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
 
     `mats` are the weight matrices, `x` a float64 (n, input_dim) batch and
     `labels` one integer in [0, k) per row.
-    With `labels` None the softmax probabilities are returned, class-major
-    for k <= CLASS_MAJOR_MAX_K (see `forward`).  Otherwise
+    With `labels` None the softmax probabilities are returned.  Otherwise
     the chain backpropagates sum_i scale_i * J_i (scale 1 when None): with
     `grad_views`, one array per weight matrix and of its shape, each
     layer's parameter gradient is written into its view, the chain stops
@@ -218,22 +198,22 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
         np.maximum(h, 0.0, out=h)
         if labels is not None:
             acts.append(h)
+    if labels is None and mats[-1].shape[1] <= CLASS_MAJOR_MAX_K:
+        # one class-major copy of the logits; the row-major ones are freed
+        # before the exp.  The training branch stays row-major: its delta
+        # feeds the gemms below.
+        return _softmax_classes(np.ascontiguousarray((h @ mats[-1]).T))
     # softmax, in place on the fresh logits
     probs = h @ mats[-1]
-    if labels is None and probs.shape[1] <= CLASS_MAJOR_MAX_K:
-        # one class-major copy; rebinding frees the row-major logits.  The
-        # training branch stays row-major: its delta feeds the gemms below.
-        probs = np.asfortranarray(probs)
     # row max column by column: max(axis=1) runs one inner loop per narrow row
     top = probs[:, 0].copy()
     for j in range(1, probs.shape[1]):
         np.maximum(top, probs[:, j], out=top)
     probs -= top[:, None]
     np.exp(probs, out=probs)
-    if labels is None:
-        probs /= _sum_classes(probs)[:, None]
-        return probs
     probs /= probs.sum(axis=1, keepdims=True)
+    if labels is None:
+        return probs
     rows = np.arange(x.shape[0])
     # dJ/dlogits from the residual probs - onehot(labels)
     if kind is LossKind.CCE:
@@ -265,13 +245,13 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
 
 
 def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix (rows sum to 1), a fresh (n, k) array.
+    """Class-probability matrix (rows sum to 1), a fresh C-order (n, k) array.
 
-    For k <= CLASS_MAJOR_MAX_K its memory is class-major (Fortran order),
-    so the softmax maximum, sum and division run over k contiguous columns;
-    the values equal the row-major softmax bit for bit.  Wider outputs stay
-    row-major, because numpy sums rows of 8 or more pairwise and a column
-    loop would round differently.
+    For k <= CLASS_MAJOR_MAX_K the softmax runs on a class-major copy of
+    the logits (see `_softmax_classes`); the values equal the row-major
+    softmax bit for bit.  Wider outputs keep the row-major softmax, because
+    numpy sums rows of 8 or more pairwise and a class loop would round
+    differently.
     """
     features = np.asarray(features, dtype=float)
     _check_features(model.architecture, features)
@@ -286,17 +266,13 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     rows = np.arange(probs.shape[0])
     if kind is LossKind.CCE:
         return -np.log(np.maximum(probs[rows, labels], CCE_CLAMP))
-    if kind is LossKind.MAE:
-        op = np.abs
-    elif kind is LossKind.MSE:
-        op = np.square
-    else:
-        raise InvalidInputError(f"unknown loss kind {kind!r}")
-    # a copy in the caller's memory order, so class-major probs stay class-major
-    r = probs.copy(order="K")
+    r = probs.copy()  # the caller's array is left as it is
     r[rows, labels] -= 1.0
-    op(r, out=r)
-    return _sum_classes(r)
+    if kind is LossKind.MAE:
+        return np.abs(r).sum(axis=1)
+    if kind is LossKind.MSE:
+        return (r ** 2).sum(axis=1)
+    raise InvalidInputError(f"unknown loss kind {kind!r}")
 
 
 def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,

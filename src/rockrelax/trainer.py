@@ -19,7 +19,6 @@ from rockrelax.models import (
     Architecture,
     LossKind,
     ModelState,
-    argmax_classes,
     fgsm_perturb,
     forward,
     grad_params_weighted,
@@ -176,7 +175,7 @@ def weight_histogram(u: WeightShift, contaminated_set) -> dict:
 def accuracy(model: ModelState, features: np.ndarray, labels: np.ndarray) -> float:
     if features.shape[0] == 0:
         return float("nan")
-    return float(np.mean(argmax_classes(forward(model, features)) == labels))
+    return float(np.mean(forward(model, features).argmax(axis=1) == labels))
 
 
 def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShift,
@@ -278,7 +277,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
             mean_loss=float(c.mean()),
             min_loss=float(c.min()),
             max_loss=float(c.max()),
-            train_accuracy=float(np.mean(argmax_classes(probs) == train.observed_labels)),
+            train_accuracy=float(np.mean(probs.argmax(axis=1) == train.observed_labels)),
             validation_accuracy=val_acc,
             test_accuracy=test_acc,
             tv=tv_distance(u),
