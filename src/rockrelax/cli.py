@@ -38,7 +38,7 @@ from rockrelax.data import (
 from rockrelax.errors import FormatError, InvalidInputError, NumericError, SchemaError
 from rockrelax.models import Architecture, LossKind, save_checkpoint
 from rockrelax.reweight import ReweightConfig
-from rockrelax.trainer import BUCKET_LABELS, TrainConfig, evaluate_fgsm_sweep, run
+from rockrelax.trainer import BUCKET_LABELS, TrainConfig, _check_fits, evaluate_fgsm_sweep, run
 from rockrelax.verify import run_all
 
 EXIT_OK = 0
@@ -177,22 +177,21 @@ def cmd_inject(args) -> int:
         # a fault in the kernel file is the file's, not the config's
         kernel = ContaminationKernel.from_file(_require(cont, "kernel_path", "config.contamination"))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    rate = cont.get("rate", 0.0)
+    # "none" is NCAR at rate 0, and the rate recorded is the 0 applied
+    rate = 0.0 if mode == "none" else cont.get("rate", 0.0)
     with _config_values("config.source"):
         dataset = _load_source(_require(doc, "source"), seed)
     if "keep_classes" in doc:
         with _config_values("config.keep_classes"):
             dataset = subset_classes(dataset, doc["keep_classes"])
     with _config_values("config.contamination"):
-        if mode == "ncar":
-            observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
-        elif mode == "kernel":
+        if mode == "kernel":
             if kernel.num_classes != dataset.num_classes:
                 raise SchemaError(f"config.contamination.kernel_path: a {kernel.num_classes}"
                                   f"-class kernel for a {dataset.num_classes}-class dataset")
             observed, chosen = inject_kernel(dataset.clean_labels, rate, kernel, seed)
-        else:  # nothing is contaminated, so the rate recorded is the 0 applied
-            observed, chosen, rate = dataset.clean_labels.copy(), np.empty(0, dtype=int), 0.0
+        else:
+            observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
         dataset = ContaminatedDataset(dataset.features, observed, dataset.clean_labels,
                                       chosen, dataset.num_classes)
     out = _resolve_output(_require(doc, "output"))
@@ -275,15 +274,10 @@ def cmd_train(args) -> int:
     train_ds, _ = load_cache(doc["train_cache"])
     test_ds, _ = load_cache(doc["test_cache"])
     for key, ds in (("train_cache", train_ds), ("test_cache", test_ds)):
-        if ds.input_dim != arch.input_dim:
-            raise SchemaError(f"config.{key} holds {ds.input_dim}-dim features, "
-                              f"but the architecture takes {arch.input_dim}")
-        # observed labels train the model and clean labels score it, so both must fit
-        labels = np.concatenate([ds.observed_labels, ds.clean_labels])
-        if labels.size and (labels.min() < 0 or labels.max() >= arch.num_classes):
-            raise SchemaError(f"config.{key} holds labels in [{labels.min()}, {labels.max()}], "
-                              f"but the architecture's {arch.num_classes} outputs "
-                              f"take labels in [0, {arch.num_classes})")
+        try:
+            _check_fits(ds, arch, f"config.{key}")
+        except InvalidInputError as exc:
+            raise SchemaError(str(exc)) from exc
     out_dir = _resolve_output(doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -318,15 +312,11 @@ def cmd_train(args) -> int:
         "seeds": [s["seed"] for s in summaries],
     }
     if summaries:
-        peaks = np.array([s["test_at_peak_validation"] for s in summaries], dtype=float)
-        maxes = np.array([s["max_test_accuracy"] for s in summaries], dtype=float)
-        aggregate.update({
-            "test_at_peak_validation_mean": float(peaks.mean()),
+        for key in ("test_at_peak_validation", "max_test_accuracy"):
+            values = np.array([s[key] for s in summaries], dtype=float)
+            aggregate[f"{key}_mean"] = float(values.mean())
             # population std, matching mean +/- std reporting over seeds
-            "test_at_peak_validation_std": float(peaks.std()),
-            "max_test_accuracy_mean": float(maxes.mean()),
-            "max_test_accuracy_std": float(maxes.std()),
-        })
+            aggregate[f"{key}_std"] = float(values.std())
         if epsilon_test:
             aggregate["epsilon_test_accuracy_mean"] = {
                 str(eps): float(np.mean([s["epsilon_test_accuracy"][eps] for s in summaries]))
@@ -399,7 +389,7 @@ def cmd_report(args) -> int:
         for failure in agg.get("failures", []):
             lines.append(f"  seed {failure['seed']} failed: {failure['type']}: {failure['message']}")
     by_mode = {agg["mode"]: agg for agg in aggregates if agg["seeds"]}
-    if "erm" in by_mode and len(by_mode) > 1:
+    if "erm" in by_mode:
         base = by_mode["erm"]
         for mode, agg in by_mode.items():
             if mode == "erm":
@@ -490,7 +480,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (FormatError, FileNotFoundError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError, InvalidInputError) as exc:

@@ -35,8 +35,7 @@ CCE_CLAMP = 1e-12
 # Widths of the reference 3-digit MNIST classifier (417880 weights).
 MNIST3_WIDTHS = (784, 320, 320, 200, 3)
 
-# Widest output whose row sum numpy adds in plain class order; wider rows
-# are summed pairwise, so class-major passes stop here.
+# Widest output whose full-set softmax runs class-major (module docstring).
 CLASS_MAJOR_MAX_K = 7
 
 
@@ -158,14 +157,7 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def _softmax_classes(z: np.ndarray) -> np.ndarray:
     """Softmax over each column of a C-contiguous (k, n) array of logits,
-    k <= CLASS_MAJOR_MAX_K, as a fresh C-order (n, k) array; `z` is
-    overwritten.
-
-    The maximum, exp and class-order sum run over contiguous class rows,
-    and the final division writes the transposed result.  The values equal
-    the row-major softmax bit for bit: every step is elementwise except
-    the sum, which numpy adds in class order for rows of fewer than 8.
-    """
+    as a fresh C-order (n, k) array; `z` is overwritten."""
     top = z[0].copy()
     for zj in z[1:]:
         np.maximum(top, zj, out=top)
@@ -199,9 +191,8 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
         if labels is not None:
             acts.append(h)
     if labels is None and mats[-1].shape[1] <= CLASS_MAJOR_MAX_K:
-        # one class-major copy of the logits; the row-major ones are freed
-        # before the exp.  The training branch stays row-major: its delta
-        # feeds the gemms below.
+        # the row-major logits are freed before the exp; training stays
+        # row-major, because its delta feeds the gemms below
         return _softmax_classes(np.ascontiguousarray((h @ mats[-1]).T))
     # softmax, in place on the fresh logits
     probs = h @ mats[-1]
@@ -245,14 +236,7 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
 
 
 def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix (rows sum to 1), a fresh C-order (n, k) array.
-
-    For k <= CLASS_MAJOR_MAX_K the softmax runs on a class-major copy of
-    the logits (see `_softmax_classes`); the values equal the row-major
-    softmax bit for bit.  Wider outputs keep the row-major softmax, because
-    numpy sums rows of 8 or more pairwise and a class loop would round
-    differently.
-    """
+    """Class-probability matrix (rows sum to 1), a fresh C-order (n, k) array."""
     features = np.asarray(features, dtype=float)
     _check_features(model.architecture, features)
     return _backprop(model.matrices(), features, None, None)

@@ -86,9 +86,9 @@ class WeightShift:
         """The closed-form optimizer (see solve_reweight) for an existing partition."""
         n = part.n
         u = np.zeros(n)
-        if part.chi.size:
-            u[part.i_min] = part.chi.size / (n * part.i_min.size)
-            u[part.chi] = -1.0 / n
+        # i_min always holds the minimum loss; an empty chi writes 0.0 there
+        u[part.i_min] = part.chi.size / (n * part.i_min.size)
+        u[part.chi] = -1.0 / n
         return cls(u)
 
 

@@ -153,16 +153,11 @@ def weight_histogram(u: WeightShift, contaminated_set) -> dict:
 
     `contaminated_set` holds distinct indices, as ContaminatedDataset's does.
     """
-    n = u.n
-    q = u.shifts * n
-    bucket = np.empty(n, dtype=int)
-    bucket[q > _NEAR_ZERO] = 0
-    bucket[np.abs(q) <= _NEAR_ZERO] = 1
-    neg = q < -_NEAR_ZERO
-    bucket[neg & (q > -0.25)] = 2
-    bucket[(q <= -0.25) & (q > -0.5)] = 3
-    bucket[(q <= -0.5) & (q > -0.75)] = 4
-    bucket[q <= -0.75] = 5
+    q = u.shifts * u.n
+    # a bucket is 5 less the number of its edges q lies above; the cast keeps
+    # the first sum an integer one, since numpy adds bool arrays as a logical or
+    bucket = 5 - ((q > -0.75).astype(int) + (q > -0.5) + (q > -0.25)
+                  + (q >= -_NEAR_ZERO) + (q > _NEAR_ZERO))
     k = len(BUCKET_LABELS)
     contaminated = np.bincount(bucket[np.asarray(contaminated_set, dtype=int)], minlength=k)
     return {
@@ -246,6 +241,23 @@ def _pruned_metrics(part: LossPartition, dataset: ContaminatedDataset) -> tuple[
     return pruned, precision, recall
 
 
+def _check_fits(dataset: ContaminatedDataset, architecture: Architecture, name: str) -> None:
+    """Raise InvalidInputError, its message led by `name`, unless `dataset` fits `architecture`.
+
+    The feature width must be the input width.  Observed labels train the
+    model and clean labels score it, so both must lie in [0, outputs).
+    """
+    if dataset.input_dim != architecture.input_dim:
+        raise InvalidInputError(f"{name} holds {dataset.input_dim}-dim features, "
+                                f"but the architecture takes {architecture.input_dim}")
+    k = architecture.num_classes
+    labels = np.concatenate([dataset.observed_labels, dataset.clean_labels])
+    # size first: min() of an empty array raises ValueError
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise InvalidInputError(f"{name} holds labels in [{labels.min()}, {labels.max()}], "
+                                f"but the architecture's {k} outputs take labels in [0, {k})")
+
+
 def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         test: ContaminatedDataset, config: TrainConfig,
         architecture: Architecture) -> tuple[ModelState, RunRecord]:
@@ -253,8 +265,12 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
 
     Test accuracy is reported both at peak validation accuracy and as the
     maximum over iterations; the model returned is the final one, and
-    `record.peak_model` is the one at peak validation.
+    `record.peak_model` is the one at peak validation.  All three sets are
+    checked against the architecture before the first epoch.
     """
+    for name, dataset in (("train set", train), ("validation set", validation),
+                          ("test set", test)):
+        _check_fits(dataset, architecture, name)
     model = init_params(architecture, config.seed)
     rng = np.random.default_rng(config.seed)
     u = WeightShift.zero(train.n)
@@ -289,12 +305,9 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         ))
         if np.isnan(record.max_test_accuracy) or test_acc > record.max_test_accuracy:
             record.max_test_accuracy = test_acc
-        if np.isnan(val_acc):
-            # no validation split: fall back to the final model for reporting
-            record.test_at_peak_validation = test_acc
-            record.peak_model = model
-            continue
-        if val_acc > best_val:
+        # without a validation split (val_acc is NaN) every model is a peak,
+        # so the final one is reported and patience never runs out
+        if np.isnan(val_acc) or val_acc > best_val:
             best_val, stale = val_acc, 0
             record.peak_validation_accuracy = val_acc
             record.test_at_peak_validation = test_acc

@@ -148,6 +148,17 @@ class TestInject:
         assert ds.contaminated_set.size == 0 and header["rate"] == 0.0
         assert "|C|=0 rate=0.0 " in capsys.readouterr().out
 
+    def test_mode_none_writes_the_cache_of_ncar_at_rate_zero(self, tmp_path):
+        for mode, rate in (("none", 0.4), ("ncar", 0.0)):
+            doc = inject_config(tmp_path, rate=rate, mode=mode, out=f"{mode}.npz")
+            assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_OK
+        with np.load(tmp_path / "none.npz") as none, np.load(tmp_path / "ncar.npz") as ncar:
+            assert sorted(none.files) == sorted(ncar.files)
+            for key in none.files:
+                assert none[key].dtype == ncar[key].dtype, key
+                assert np.array_equal(none[key], ncar[key]), key
+            assert none["rate"] == 0.0
+
 
 class TestTrain:
     def test_multi_seed_artifacts_and_aggregate(self, caches):

@@ -406,8 +406,34 @@ class TestRun:
         train, _, test = blob_splits(18)
         empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
                                     np.zeros(0, dtype=int), np.empty(0, dtype=int), 3)
-        model, rec = run(train, empty, test, config(), ARCH)
+        model, rec = run(train, empty, test, config(patience=1), ARCH)
         assert rec.peak_model is model
+        # no iteration counts toward patience, and the final model's accuracy is reported
+        assert len(rec.iterations) == 3
+        assert rec.test_at_peak_validation == rec.iterations[-1].test_accuracy
+        assert np.isnan(rec.peak_validation_accuracy)
+
+    @pytest.mark.parametrize("which", ["train", "validation", "test"])
+    @pytest.mark.parametrize("fault", ["observed", "clean", "width"])
+    def test_set_that_does_not_fit_is_rejected_before_training(self, which, fault, monkeypatch):
+        epochs = []
+        monkeypatch.setattr(trainer, "gradient_step", lambda *args: epochs.append(args))
+        sets = dict(zip(("train", "validation", "test"), blob_splits(19)))
+        ds = sets[which]
+        features = ds.features
+        labels = {"observed": ds.observed_labels.copy(), "clean": ds.clean_labels.copy()}
+        if fault == "width":
+            features = np.hstack([features, features[:, :1]])  # ARCH takes 6
+            message = "holds 7-dim features"
+        else:
+            labels[fault][0] = 4  # ARCH has 3 outputs
+            message = r"holds labels in \[0, 4\]"
+        sets[which] = ContaminatedDataset(features, labels["observed"], labels["clean"],
+                                          np.flatnonzero(labels["observed"] != labels["clean"]),
+                                          5)
+        with pytest.raises(InvalidInputError, match=f"{which} set {message}"):
+            run(*sets.values(), config(), ARCH)
+        assert epochs == []
 
     def test_early_stopping_on_validation_plateau(self):
         train, val, test = blob_splits(11)
