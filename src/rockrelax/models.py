@@ -138,6 +138,8 @@ def _check_features(architecture: Architecture, x: np.ndarray) -> None:
 
 def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
     """One integer label in [0, k) per row; a single label never broadcasts."""
+    if labels.dtype.kind not in "iu":
+        raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (rows,):
         raise InvalidInputError(f"expected {rows} labels, got an array of shape {labels.shape}")
     # size first: min() of an empty array raises ValueError
@@ -246,12 +248,16 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     """Per-sample loss of softmax probabilities against integer labels."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
-    _check_labels(labels, probs.shape[1], probs.shape[0])
-    rows = np.arange(probs.shape[0])
+    n, k = probs.shape
+    _check_labels(labels, k, n)
+    # each row's label entry, by one flat index into the C-order buffer;
+    # intp first, since int64 + uint64 promotes to float64
+    at_label = labels.astype(np.intp)
+    at_label += np.arange(0, n * k, k)
     if kind is LossKind.CCE:
-        return -np.log(np.maximum(probs[rows, labels], CCE_CLAMP))
+        return -np.log(np.maximum(probs.ravel()[at_label], CCE_CLAMP))
     r = probs.copy()  # the caller's array is left as it is
-    r[rows, labels] -= 1.0
+    r.ravel()[at_label] -= 1.0
     if kind is LossKind.MAE:
         return np.abs(r).sum(axis=1)
     if kind is LossKind.MSE:

@@ -13,7 +13,7 @@ probability mass is spread uniformly over the minimum-loss samples.
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,35 +198,42 @@ def auto_tune_gamma(c, c_prime: float) -> float:
     When no such ell exists (the quantile collapses onto the minimum loss)
     a tiny positive floor is returned so gamma stays valid.
 
-    Cost is O(N log N): one sort, then a bisection over the distinct
-    values whose every step finds the pruned count by bisecting the sorted
-    losses.
+    Let m be the fewest pruned samples that meet c_prime.  `_pruned` is
+    monotone in the loss, so the pruned losses are the largest ones, and
+    ell prunes at least m samples exactly when it prunes the m-th largest
+    loss t.  Cost is O(N): besides the minimum, one selection finds t, and
+    at most two passes follow.  The first finds the largest loss below t,
+    which is ell whenever it prunes t and t itself does not; only otherwise
+    does the second test every loss against t.
     """
     c = _as_loss_vector(c)
     if not 0 <= c_prime <= 1:
         raise InvalidInputError(f"contamination estimate must lie in [0, 1], got {c_prime}")
     n = c.size
-    s = np.sort(c)
-    c_min = float(s[0])
+    c_min = float(c.min())
     floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
-    # Index of the last copy of each distinct value.
-    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    # Smallest m with m / n >= c_prime - FEAS_TOL in floats; m <= n as c_prime <= 1.
+    m = min(max(math.ceil((c_prime - FEAS_TOL) * n), 0), n)
+    while m > 0 and not (m - 1) / n < c_prime - FEAS_TOL:
+        m -= 1
+    while m / n < c_prime - FEAS_TOL:
+        m += 1
+    if m == 0:
+        top = float(c.max())
+        return top - c_min if c_min < top else floor
+    parts = np.partition(c, n - m)
+    t = float(parts[n - m])
 
-    def gamma_at(j: int) -> float:
-        return float(s[last[j]]) - c_min
+    def prunes_t(ell: float) -> bool:
+        return _pruned(t, c_min + (ell - c_min))
 
-    def too_few_pruned(j: int) -> bool:
-        upper = c_min + gamma_at(j)
-        # the rule is monotone in v, so the pruned losses are a suffix of s
-        first = bisect.bisect_left(s, True, key=lambda v: _pruned(v, upper))
-        return (n - first) / n < c_prime - FEAS_TOL
-
-    # Candidates are the distinct values above c_min, j = 1 .. J-1.  The
-    # pruned count can only fall as j grows, so the first candidate that
-    # prunes too few sits at position j of range(1, J) exactly when j is
-    # the largest candidate that prunes enough (j = 0: none does).
-    j = bisect.bisect_left(range(1, last.size), True, key=too_few_pruned)
-    return gamma_at(j) if j >= 1 else floor
+    below = parts[:n - m]
+    ell = float(np.max(below, where=below < t, initial=-np.inf))
+    if c_min < ell and prunes_t(ell) and not prunes_t(t):
+        return ell - c_min
+    # Rounding in c_min + (ell - c_min) can let t, or a loss above it, prune t.
+    ell = float(np.max(c, where=(c > c_min) & _pruned(t, c_min + (c - c_min)), initial=-np.inf))
+    return ell - c_min if c_min < ell else floor
 
 
 def reweight_objective(c, u: WeightShift, gamma: float) -> float:

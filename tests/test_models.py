@@ -478,7 +478,34 @@ class TestCallerArraysUntouched:
 
 
 class TestEdgeValidation:
-    """Labels are range-checked once, at each public entry point."""
+    """Labels are type- and range-checked once, at each public entry point."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_non_integer_labels_rejected(self, kind, dtype):
+        rng = np.random.default_rng(33)
+        model = small_model(rng)  # 3 classes
+        x = rng.uniform(size=(4, 4))
+        y = np.array([0, 1, 1, 0], dtype=dtype)
+        # in range, so only the dtype can fail; a bool vector would otherwise
+        # pick the 0/1 entries
+        for call in (lambda: grad_params_weighted(model, x, y, np.ones(4), kind),
+                     lambda: grad_input(model, x, y, kind),
+                     lambda: grad_input(model, x[0], y[1], kind),
+                     lambda: fgsm_perturb(model, x, y, 0.1, kind),
+                     lambda: fgsm_perturb(model, x, y, 0.0, kind),
+                     lambda: loss_per_sample(forward(model, x), y, kind)):
+            with pytest.raises(InvalidInputError, match=f"dtype {np.dtype(dtype)}"):
+                call()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_unsigned_labels_match_int64(self, kind):
+        rng = np.random.default_rng(34)
+        probs = forward(small_model(rng), rng.uniform(size=(6, 4)))
+        y = np.array([0, 1, 2, 2, 1, 0], dtype=np.int64)
+        want = loss_per_sample(probs, y, kind)
+        for dtype in (np.uint8, np.uint64):
+            np.testing.assert_array_equal(loss_per_sample(probs, y.astype(dtype), kind), want)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     @pytest.mark.parametrize("kind", ALL_KINDS)

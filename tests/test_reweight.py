@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +43,28 @@ def _scan_oracle(c, c_prime):
         if gamma > 0 and partition_losses(c, gamma).pruned_fraction >= c_prime - FEAS_TOL:
             return gamma
     return floor
+
+
+def _sort_bisect_reference(c, c_prime):
+    """The former sort-and-bisect auto_tune_gamma, fast enough to check N = 10^5."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    s = np.sort(c)
+    c_min = float(s[0])
+    floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
+    # Index of the last copy of each distinct value.
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+
+    def gamma_at(j):
+        return float(s[last[j]]) - c_min
+
+    def too_few_pruned(j):
+        upper = c_min + gamma_at(j)
+        first = bisect.bisect_left(s, True, key=lambda v: v - upper > PARTITION_TOL)
+        return (n - first) / n < c_prime - FEAS_TOL
+
+    j = bisect.bisect_left(range(1, last.size), True, key=too_few_pruned)
+    return gamma_at(j) if j >= 1 else floor
 
 
 def _check_kkt_oracle(c, u, gamma, tol=1e-9):
@@ -99,6 +123,24 @@ near_tied_vectors = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from(NEAR_TIE_OFFSETS)), min_size=1, max_size=40,
 ).map(lambda pairs: np.array([a + d for a, d in pairs]))
 fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# Losses of 1e7 and above a few ulps apart, where c_min + (ell - c_min) can
+# round below ell, so a loss may prune itself; a far lower minimum, when
+# drawn, widens that rounding.
+wide_ulp_vectors = st.tuples(
+    st.sampled_from([1e7, 5e8, 1e12]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    st.sampled_from([None, 0.0, -1e9, -1e12]),
+).map(lambda t: np.array([t[0] + k * np.spacing(t[0]) for k in t[1]]
+                         + ([] if t[2] is None else [t[2]])))
+
+
+@st.composite
+def tuning_cases(draw):
+    """(c, c_prime), with c_prime also drawn at a count k/n or FEAS_TOL either side of it."""
+    c = draw(st.one_of(loss_vectors, near_tied_vectors, wide_ulp_vectors))
+    k = draw(st.integers(0, c.size)) / c.size
+    c_prime = draw(st.one_of(fractions, st.sampled_from([k, k - FEAS_TOL, k + FEAS_TOL])))
+    return c, min(max(c_prime, 0.0), 1.0)
 
 
 # Offsets at, inside and just outside PARTITION_TOL (1e-9) on either side.
@@ -310,10 +352,24 @@ class TestAutoTune:
         with pytest.raises(InvalidInputError):
             auto_tune_gamma([1.0, 2.0], 1.5)
 
-    @given(st.one_of(loss_vectors, near_tied_vectors), fractions)
+    @given(tuning_cases())
+    # c_min + (ell - c_min) rounds 5e8 + 2 ulps down to 5e8, so that loss
+    # prunes 5e8 + 1 ulp, though no loss between c_min and it does
+    @example((np.array([-1e9, 5e8 + np.spacing(5e8), 5e8 + 2 * np.spacing(5e8)]), 0.5))
+    # 5e8 prunes the largest loss, 5e8 + 5 ulps, and so does that loss itself
+    @example((np.array([-1e9, 5e8, 5e8, 5e8 + 5 * np.spacing(5e8)]), 0.25))
     @settings(max_examples=1000, deadline=None)
-    def test_matches_scan_oracle_exactly(self, c, c_prime):
+    def test_matches_scan_oracle_exactly(self, case):
+        c, c_prime = case
         assert auto_tune_gamma(c, c_prime) == _scan_oracle(c, c_prime)
+
+    @pytest.mark.parametrize("c_prime", [0.0, 0.3, 0.6, 1.0])
+    def test_matches_sort_bisect_reference_at_1e5(self, c_prime):
+        rng = np.random.default_rng(33)
+        c = rng.exponential(size=10**5)
+        ties = rng.choice(c[:1000], size=c.size)  # 1% of the values unique
+        for losses in (c, ties, np.round(c, 2)):
+            assert auto_tune_gamma(losses, c_prime) == _sort_bisect_reference(losses, c_prime)
 
     def test_near_tie_above_threshold_counts_as_kept(self):
         # 1 + 5e-10 is within PARTITION_TOL of the breakpoint 1, so gamma = 1
