@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -48,8 +47,6 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 SCHEMA_VERSION = 1
-
-OUTPUT_ROOT_ENV = "ROCKRELAX_OUTPUT_ROOT"
 
 
 # ---------------------------------------------------------------- config
@@ -123,14 +120,6 @@ def load_config(path, schema: dict) -> dict:
     return doc
 
 
-def _resolve_output(path_str: str) -> Path:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    path = Path(path_str)
-    if root and not path.is_absolute():
-        return Path(root) / path
-    return path
-
-
 def _require(doc: dict, key: str, context: str = "config"):
     if key not in doc:
         raise SchemaError(f"{context}: missing required key {key!r}")
@@ -194,7 +183,7 @@ def cmd_inject(args) -> int:
             observed, chosen = inject_ncar(dataset.clean_labels, rate, dataset.num_classes, seed)
         dataset = ContaminatedDataset(dataset.features, observed, dataset.clean_labels,
                                       chosen, dataset.num_classes)
-    out = _resolve_output(_require(doc, "output"))
+    out = Path(_require(doc, "output"))
     out.parent.mkdir(parents=True, exist_ok=True)
     save_cache(out, dataset, seed=seed, rate=rate)
     print(f"wrote {out}: N={dataset.n} |C|={chosen.size} rate={rate} seed={seed}")
@@ -278,7 +267,7 @@ def cmd_train(args) -> int:
             _check_fits(ds, arch, f"config.{key}")
         except InvalidInputError as exc:
             raise SchemaError(str(exc)) from exc
-    out_dir = _resolve_output(doc["output_dir"])
+    out_dir = Path(doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     shared = (arch, train_ds, test_ds, val_frac, epsilon_test, out_dir)
@@ -345,7 +334,7 @@ def cmd_verify(args) -> int:
         print(line)
     if not report.ok:
         failing = next(s for s in report.suites if not s.ok)
-        replay = _resolve_output(args.replay_file)
+        replay = Path(args.replay_file)
         replay.parent.mkdir(parents=True, exist_ok=True)
         with open(replay, "w") as f:
             json.dump({"suite": failing.name, "instance": failing.first_failure}, f, indent=2)
@@ -364,7 +353,7 @@ def cmd_report(args) -> int:
         return EXIT_IO
     aggregates = [json.loads((d / "aggregate.json").read_text()) for d in run_dirs]
 
-    out_dir = _resolve_output(args.output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # accuracy comparison: baseline columns with reweighted values in parentheses

@@ -40,6 +40,8 @@ class ContaminatedDataset:
         if self.observed_labels.shape != (n,) or self.clean_labels.shape != (n,):
             raise InvalidInputError("label arrays disagree with feature count")
         for labels in (self.observed_labels, self.clean_labels):
+            if labels.dtype.kind not in "iu":
+                raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
             if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise InvalidInputError(
                     f"labels in [{labels.min()}, {labels.max()}] do not fit "

@@ -9,14 +9,14 @@ Layers carry no bias terms: the reference digit-classification MLP
 parameters alone.  Bias-capable layers can be emulated by appending a
 constant feature.
 
-Full-set passes over few classes run their softmax class by class.  For
-k <= 7 classes (`CLASS_MAJOR_MAX_K`) `forward` copies the (n, k) logits
-once into a (k, n) class-major array, so the softmax maximum, exp, sum and
-division each work on k long contiguous rows instead of n rows of k; the
-division writes a fresh C-order (n, k) result, the layout every caller
-gets.  A class-by-class sum equals numpy's row sum only below 8 columns:
-from 8 on, numpy sums each row pairwise, so wider outputs keep numpy's
-row-major reduction and every result stays bit-exact.
+One softmax serves every pass, over a (k, n) array of logits.  Full-set
+passes over k <= 7 classes (`CLASS_MAJOR_MAX_K`) copy the logits class-major,
+so each step runs over k long contiguous rows and writes a fresh C-order
+(n, k) result; training batches and wider outputs pass the transposed view
+of the logits, and the softmax runs in place.  The class sum keeps each
+layout's order.  Class by class equals numpy's row sum only below 8 columns
+(numpy sums wider rows pairwise), so wider outputs never take the copy and
+every result stays bit-exact.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ CCE_CLAMP = 1e-12
 # Widths of the reference 3-digit MNIST classifier (417880 weights).
 MNIST3_WIDTHS = (784, 320, 320, 200, 3)
 
-# Widest output whose full-set softmax runs class-major (module docstring).
+# Widest output whose full-set softmax runs on a class-major copy (module docstring).
 CLASS_MAJOR_MAX_K = 7
 
 
@@ -157,20 +157,35 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a @ a)) or bool(np.all(np.isfinite(a)))
 
 
-def _softmax_classes(z: np.ndarray) -> np.ndarray:
-    """Softmax over each column of a C-contiguous (k, n) array of logits,
-    as a fresh C-order (n, k) array; `z` is overwritten."""
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over each column of a (k, n) array of logits, as a C-order
+    (n, k) array; `z` is overwritten.
+
+    `z` is either a C-order class-major copy, whose probabilities go to a
+    fresh (n, k) array, or the transposed view of C-order (n, k) logits,
+    which are divided in place and returned.
+    """
     top = z[0].copy()
-    for zj in z[1:]:
-        np.maximum(top, zj, out=top)
+    for j in range(1, len(z)):  # indexing rows is cheaper than iterating a slice
+        np.maximum(top, z[j], out=top)
     z -= top
     np.exp(z, out=z)
-    total = z[0].copy()
-    for zj in z[1:]:
-        total += zj
+    # adds in the layout's order: class by class on the copy, numpy's row
+    # sum on the view
+    total = z.sum(axis=0)
+    if z.flags.f_contiguous:
+        z /= total
+        return z.T
     probs = np.empty(z.shape[::-1])
     np.divide(z, total, out=probs.T)
     return probs
+
+
+def _label_index(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of each row's label entry in a C-order (n, k) array."""
+    at = labels.astype(np.intp)  # intp first, since int64 + uint64 promotes to float64
+    at += np.arange(0, at.size * k, k)
+    return at
 
 
 def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
@@ -192,29 +207,21 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
         np.maximum(h, 0.0, out=h)
         if labels is not None:
             acts.append(h)
-    if labels is None and mats[-1].shape[1] <= CLASS_MAJOR_MAX_K:
-        # the row-major logits are freed before the exp; training stays
-        # row-major, because its delta feeds the gemms below
-        return _softmax_classes(np.ascontiguousarray((h @ mats[-1]).T))
-    # softmax, in place on the fresh logits
-    probs = h @ mats[-1]
-    # row max column by column: max(axis=1) runs one inner loop per narrow row
-    top = probs[:, 0].copy()
-    for j in range(1, probs.shape[1]):
-        np.maximum(top, probs[:, j], out=top)
-    probs -= top[:, None]
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    z = (h @ mats[-1]).T
+    if labels is None and z.shape[0] <= CLASS_MAJOR_MAX_K:
+        # rebinding frees the row-major logits before the exp
+        z = np.ascontiguousarray(z)
+    probs = _softmax(z)
     if labels is None:
         return probs
-    rows = np.arange(x.shape[0])
+    at_label = _label_index(labels, probs.shape[1])
     # dJ/dlogits from the residual probs - onehot(labels)
     if kind is LossKind.CCE:
         delta = probs
-        delta[rows, labels] -= 1.0
+        delta.ravel()[at_label] -= 1.0
     else:
         g = probs.copy()
-        g[rows, labels] -= 1.0
+        g.ravel()[at_label] -= 1.0
         if kind is LossKind.MAE:
             np.sign(g, out=g)
         elif kind is LossKind.MSE:
@@ -250,10 +257,7 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     labels = np.asarray(labels)
     n, k = probs.shape
     _check_labels(labels, k, n)
-    # each row's label entry, by one flat index into the C-order buffer;
-    # intp first, since int64 + uint64 promotes to float64
-    at_label = labels.astype(np.intp)
-    at_label += np.arange(0, n * k, k)
+    at_label = _label_index(labels, k)
     if kind is LossKind.CCE:
         return -np.log(np.maximum(probs.ravel()[at_label], CCE_CLAMP))
     r = probs.copy()  # the caller's array is left as it is

@@ -13,7 +13,7 @@ probability mass is spread uniformly over the minimum-loss samples.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,11 +213,7 @@ def auto_tune_gamma(c, c_prime: float) -> float:
     c_min = float(c.min())
     floor = GAMMA_FLOOR_SCALE * max(1.0, abs(c_min))
     # Smallest m with m / n >= c_prime - FEAS_TOL in floats; m <= n as c_prime <= 1.
-    m = min(max(math.ceil((c_prime - FEAS_TOL) * n), 0), n)
-    while m > 0 and not (m - 1) / n < c_prime - FEAS_TOL:
-        m -= 1
-    while m / n < c_prime - FEAS_TOL:
-        m += 1
+    m = bisect.bisect_left(range(n + 1), c_prime - FEAS_TOL, key=lambda m: m / n)
     if m == 0:
         top = float(c.max())
         return top - c_min if c_min < top else floor

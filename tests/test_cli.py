@@ -268,6 +268,18 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == EXIT_IO
         assert "do not fit 2 classes" in capsys.readouterr().err
 
+    def test_float_label_cache_rejected_before_any_seed(self, caches, capsys):
+        with np.load(caches / "train_cache.npz") as z:
+            arrays = dict(z)
+        arrays["observed_labels"] = arrays["observed_labels"].astype(float)
+        np.savez_compressed(caches / "train_cache.npz", **arrays)
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg]) == EXIT_IO
+        assert "labels must be integers, got dtype float64" in capsys.readouterr().err
+        out_dir = caches / "runs" / "rrm"
+        assert not list(out_dir.glob("seed_*"))
+        assert not (out_dir / "aggregate.json").exists()
+
     def test_pool_is_capped_at_the_seed_count(self, caches, monkeypatch):
         sizes = []
 

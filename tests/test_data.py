@@ -348,6 +348,17 @@ class TestCache:
         with pytest.raises(FormatError, match="do not fit 2 classes"):
             load_cache(path)
 
+    def test_float_labels_rejected(self, tmp_path):
+        ds = toy_dataset(np.random.default_rng(12), n=30, rate=0.3, seed=13)
+        path = tmp_path / "cache.npz"
+        save_cache(path, ds, seed=13, rate=0.3)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["clean_labels"] = arrays["clean_labels"].astype(float)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(FormatError, match="labels must be integers"):
+            load_cache(path)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
@@ -377,6 +388,24 @@ class TestInvariants:
         with pytest.raises(InvalidInputError, match="do not fit 3 classes"):
             ContaminatedDataset(np.zeros((4, 2)), np.array(observed), np.array(clean),
                                 np.array(flipped, dtype=int), 3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    @pytest.mark.parametrize("which", ["observed", "clean"])
+    def test_non_integer_labels_rejected(self, which, dtype):
+        labels = {"observed": np.array([0, 1, 0, 1]), "clean": np.array([0, 1, 0, 1])}
+        labels[which] = labels[which].astype(dtype)
+        with pytest.raises(InvalidInputError, match="labels must be integers"):
+            ContaminatedDataset(np.zeros((4, 2)), labels["observed"], labels["clean"],
+                                np.empty(0, dtype=int), 3)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, 2.0], [True, False, True]])
+    def test_clean_rejects_non_integer_labels(self, labels):
+        with pytest.raises(InvalidInputError, match="labels must be integers"):
+            ContaminatedDataset.clean(np.zeros((3, 2)), labels, 3)
+
+    def test_unsigned_labels_accepted(self):
+        labels = np.array([0, 2, 1], dtype=np.uint8)
+        assert ContaminatedDataset.clean(np.zeros((3, 2)), labels, 3).n == 3
 
     def test_empty_dataset_accepted(self):
         empty = np.empty(0, dtype=int)

@@ -225,8 +225,10 @@ class TestGradients:
                                       np.zeros(4))
 
 
-# 1, 2, 3, 8 and 10 outputs: the kernel takes the softmax row maximum column by column.
-ORACLE_WIDTHS = [(4, 3), (4, 5, 3), (6, 8, 7, 3), (4, 1), (5, 6, 2), (6, 8), (6, 9, 10)]
+# 1, 2, 3, 7, 8 and 10 outputs: one softmax takes its maximum and sum over
+# classes, and numpy adds a row in order up to 7 classes (CLASS_MAJOR_MAX_K)
+# and pairwise from 8 on.
+ORACLE_WIDTHS = [(4, 3), (4, 5, 3), (6, 8, 7, 3), (4, 1), (5, 6, 2), (5, 7), (6, 8), (6, 9, 10)]
 
 
 def weights_with_zeros(rng, n):

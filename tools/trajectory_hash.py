@@ -21,6 +21,12 @@ The digests depend on the numpy build, the BLAS and the CPU it dispatches
 to.  `tests/test_trajectory_hash.py` compares them with the goldens in
 `tests/trajectory_golden.json`, recorded together with `fingerprint()` of
 the environment that produced them, and skips on any other fingerprint.
+
+The fingerprint leaves out the BLAS thread count: at these widths one
+OpenBLAS thread gives the same digests as two, and a test checks the
+goldens at `OPENBLAS_NUM_THREADS=1`.  Wider layers can differ: one SGD
+epoch at `MNIST3_WIDTHS` gives another theta on one thread than on two.
+
 A change that alters a trajectory on purpose rewrites that file with
 
     python tools/trajectory_hash.py --json > tests/trajectory_golden.json
