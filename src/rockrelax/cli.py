@@ -2,8 +2,9 @@
 
 Configs are strict JSON documents (every key typed, unknown keys rejected,
 schema versioned).  Every artifact embeds its config so results trace back to
-exact inputs.  Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numeric,
-5 verification failure.
+exact inputs.  Exit codes: 0 success, 2 config/schema, 3 I/O (a missing or
+malformed file), 4 every `train` seed failed, 5 verification failure.  An
+unexpected failure prints its traceback and exits 1, as Python does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from rockrelax.data import (
     split,
     subset_classes,
 )
-from rockrelax.errors import FormatError, InvalidInputError, NumericError, SchemaError
+from rockrelax.errors import FormatError, InvalidInputError, SchemaError
 from rockrelax.models import Architecture, LossKind, save_checkpoint
 from rockrelax.reweight import ReweightConfig
 from rockrelax.trainer import BUCKET_LABELS, TrainConfig, _check_fits, evaluate_fgsm_sweep, run
@@ -329,11 +330,11 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    report = run_all(seed=args.seed, lp_trials=args.lp_trials, grad_trials=args.grad_trials)
-    for line in report.lines():
-        print(line)
-    if not report.ok:
-        failing = next(s for s in report.suites if not s.ok)
+    suites = run_all(seed=args.seed, lp_trials=args.lp_trials, grad_trials=args.grad_trials)
+    for s in suites:
+        print(f"{'PASS' if s.ok else 'FAIL'} {s.name}: {s.passed} passed, {s.failed} failed")
+    failing = next((s for s in suites if not s.ok), None)
+    if failing is not None:
         replay = Path(args.replay_file)
         replay.parent.mkdir(parents=True, exist_ok=True)
         with open(replay, "w") as f:
@@ -472,9 +473,6 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ so that pruning behaviour can be evaluated against ground truth.
 from __future__ import annotations
 
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -103,12 +105,11 @@ class ContaminationKernel:
 
     @classmethod
     def from_file(cls, path) -> "ContaminationKernel":
-        """Parse a whitespace-separated K x K decimal matrix."""
+        """Parse a whitespace-separated K x K decimal matrix; any fault is a FormatError."""
         try:
-            m = np.loadtxt(path, dtype=float, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise FormatError(f"cannot parse kernel file {path}: {exc}") from exc
-        return cls.from_rows(m)
+            return cls.from_rows(np.loadtxt(path, dtype=float, ndmin=2))
+        except (OSError, ValueError) as exc:  # InvalidInputError is a ValueError
+            raise FormatError(f"invalid kernel file {path}: {exc}") from exc
 
 
 def mnist_kernel_path():
@@ -285,17 +286,26 @@ def save_cache(path, dataset: ContaminatedDataset, seed: int = -1, rate: float =
 
 
 def load_cache(path) -> tuple[ContaminatedDataset, dict]:
-    """Read a dataset cache; returns (dataset, header dict)."""
-    with np.load(path, allow_pickle=False) as z:
-        if "version" not in z or int(z["version"]) != CACHE_VERSION:
-            raise FormatError(f"unsupported cache version in {path}")
-        header = {k: z[k].item() for k in ("version", "n", "dim", "num_classes", "seed", "rate")}
-        features = z["features"]
-        if features.shape != (header["n"], header["dim"]):
-            raise FormatError(
-                f"cache header n={header['n']}, dim={header['dim']} disagrees with "
-                f"features of shape {features.shape} in {path}")
-        try:
+    """Read a dataset cache; returns (dataset, header dict).
+
+    Every fault of the file is a FormatError.  Features must be finite real
+    numbers; that is checked here, once, not in every split's ContaminatedDataset.
+    """
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise FormatError("a bare array, not an npz archive")
+        with z:
+            if "version" not in z or int(z["version"]) != CACHE_VERSION:
+                raise FormatError("unsupported cache version")
+            keys = ("version", "n", "dim", "num_classes", "seed", "rate")
+            header = {k: z[k].item() for k in keys}
+            features = z["features"]
+            if features.shape != (header["n"], header["dim"]):
+                raise FormatError(f"header n={header['n']}, dim={header['dim']} disagrees with "
+                                  f"features of shape {features.shape}")
+            if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
+                raise FormatError("features must be finite real numbers")
             dataset = ContaminatedDataset(
                 features=features,
                 observed_labels=z["observed_labels"],
@@ -303,6 +313,7 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
                 contaminated_set=np.flatnonzero(z["contaminated_mask"]),
                 num_classes=int(z["num_classes"]),
             )
-        except InvalidInputError as exc:
-            raise FormatError(f"inconsistent cache {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        # FormatError and InvalidInputError are ValueErrors
+        raise FormatError(f"invalid dataset cache {path}: {exc}") from exc
     return dataset, header

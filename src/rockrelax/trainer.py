@@ -77,6 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.loss_kind, LossKind):
+            raise InvalidInputError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
         if not 0 <= self.epsilon_train <= 1:
             raise InvalidInputError(f"epsilon_train must lie in [0, 1], got {self.epsilon_train}")
         if (self.mode == "arrm") != (self.epsilon_train > 0):
@@ -119,11 +121,6 @@ class RunRecord:
     max_test_accuracy: float = float("nan")
     peak_validation_accuracy: float = float("nan")
     peak_model: ModelState | None = field(default=None, repr=False, compare=False)
-
-    def append(self, rec: IterationRecord):
-        if self.iterations and rec.iteration <= self.iterations[-1].iteration:
-            raise InvalidInputError("iteration records must be appended in order")
-        self.iterations.append(rec)
 
     def summary(self) -> dict:
         return {
@@ -275,7 +272,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
     rng = np.random.default_rng(config.seed)
     u = WeightShift.zero(train.n)
     record = RunRecord(config=_config_echo(config))
-    best_val, stale = -np.inf, 0
+    stale = 0
     for it in range(1, config.max_iterations + 1):
         model = gradient_step(model, train, u, config, rng)
         probs = forward(model, train.features)
@@ -288,7 +285,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         val_acc = accuracy(model, validation.features, validation.observed_labels)
         test_acc = accuracy(model, test.features, test.clean_labels)
         hist = weight_histogram(u, train.contaminated_set)
-        record.append(IterationRecord(
+        record.iterations.append(IterationRecord(
             iteration=it,
             mean_loss=float(c.mean()),
             min_loss=float(c.min()),
@@ -305,10 +302,11 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         ))
         if np.isnan(record.max_test_accuracy) or test_acc > record.max_test_accuracy:
             record.max_test_accuracy = test_acc
-        # without a validation split (val_acc is NaN) every model is a peak,
-        # so the final one is reported and patience never runs out
-        if np.isnan(val_acc) or val_acc > best_val:
-            best_val, stale = val_acc, 0
+        # true at the first iteration (the peak starts as NaN), on a new maximum, and
+        # on a NaN val_acc: without a validation split every model is a peak, so the
+        # final one is reported and patience never runs out
+        if not val_acc <= record.peak_validation_accuracy:
+            stale = 0
             record.peak_validation_accuracy = val_acc
             record.test_at_peak_validation = test_acc
             record.peak_model = model

@@ -9,7 +9,7 @@ by the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +50,6 @@ class SuiteResult:
             self.failed += 1
             if self.first_failure is None:
                 self.first_failure = instance
-
-
-@dataclass
-class VerificationReport:
-    suites: list[SuiteResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.suites)
-
-    def lines(self) -> list[str]:
-        out = []
-        for s in self.suites:
-            status = "PASS" if s.ok else "FAIL"
-            out.append(f"{status} {s.name}: {s.passed} passed, {s.failed} failed")
-        return out
 
 
 def oracle_equivalence_suite(trials: int = 1000, seed: int = 0,
@@ -177,10 +161,10 @@ def gradient_check_suite(trials: int = 100, seed: int = 3, step: float = 1e-5,
     return suite
 
 
-def run_all(seed: int = 0, lp_trials: int = 1000, grad_trials: int = 100) -> VerificationReport:
-    return VerificationReport(suites=[
+def run_all(seed: int = 0, lp_trials: int = 1000, grad_trials: int = 100) -> list[SuiteResult]:
+    return [
         oracle_equivalence_suite(lp_trials, seed),
         pruning_identity_suite(lp_trials, seed + 1),
         relaxation_ordering_suite(lp_trials, seed + 2),
         gradient_check_suite(grad_trials, seed + 3),
-    ])
+    ]

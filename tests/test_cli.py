@@ -12,7 +12,7 @@ from rockrelax import cli
 from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY,
                           INJECT_SCHEMA, TRAIN_SCHEMA, _failure, _train_config, load_config,
                           main)
-from rockrelax.data import ContaminatedDataset, load_cache, save_cache, write_idx
+from rockrelax.data import ContaminatedDataset, load_cache, mnist_kernel_path, save_cache, write_idx
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
 from rockrelax.trainer import TrainConfig, accuracy
@@ -82,7 +82,38 @@ class TestInject:
         doc = inject_config(tmp_path, mode="kernel")
         doc["contamination"]["kernel_path"] = str(tmp_path / "kernel.txt")
         cfg = write_json(tmp_path / "i.json", doc)
-        assert main(["inject", "--config", cfg]) != EXIT_OK
+        assert main(["inject", "--config", cfg]) == EXIT_IO
+
+    def test_kernel_contamination_flips_every_chosen_label(self, tmp_path):
+        doc = inject_config(tmp_path, mode="kernel", num_classes=10)
+        doc["contamination"]["kernel_path"] = str(mnist_kernel_path())
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_OK
+        ds, header = load_cache(tmp_path / "train_cache.npz")
+        chosen = ds.contaminated_set
+        assert ds.num_classes == 10 and chosen.size == round(0.4 * ds.n)
+        assert np.all(ds.observed_labels[chosen] != ds.clean_labels[chosen])
+        assert header["rate"] == 0.4
+
+    def test_kernel_of_another_class_count_is_a_config_error(self, tmp_path, capsys):
+        doc = inject_config(tmp_path, mode="kernel")
+        doc["contamination"]["kernel_path"] = str(mnist_kernel_path())
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            "config error: config.contamination.kernel_path: "
+            "a 10-class kernel for a 3-class dataset")
+        assert not (tmp_path / "train_cache.npz").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "0 0.45 0.45\n0.5 0 0.5\n0.5 0.5 0\n",
+        "0.2 0.4 0.4\n0.5 0 0.5\n0.5 0.5 0\n",
+    ], ids=["row-sums-to-0.9", "non-zero-diagonal"])
+    def test_kernel_file_that_is_not_a_kernel_io_error(self, tmp_path, capsys, rows):
+        (tmp_path / "kernel.txt").write_text(rows)
+        doc = inject_config(tmp_path, mode="kernel")
+        doc["contamination"]["kernel_path"] = str(tmp_path / "kernel.txt")
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: invalid kernel file ")
+        assert not (tmp_path / "train_cache.npz").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = inject_config(tmp_path)
@@ -280,6 +311,30 @@ class TestTrain:
         assert not list(out_dir.glob("seed_*"))
         assert not (out_dir / "aggregate.json").exists()
 
+    @pytest.mark.parametrize("fault", ["nan-feature", "string-features", "no-features",
+                                       "not-an-npz", "truncated"])
+    def test_faulty_cache_rejected_before_any_seed(self, caches, capsys, fault):
+        path = caches / "train_cache.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        if fault == "nan-feature":
+            arrays["features"][7, 2] = np.nan
+        elif fault == "string-features":
+            arrays["features"] = arrays["features"].astype(str)
+        elif fault == "no-features":
+            del arrays["features"]
+        np.savez_compressed(path, **arrays)
+        if fault == "not-an-npz":
+            path.write_text("features,label\n0.1,2\n")
+        elif fault == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: invalid dataset cache {path}: ")
+        assert "Traceback" not in err
+        assert not (caches / "runs").exists()
+
     def test_pool_is_capped_at_the_seed_count(self, caches, monkeypatch):
         sizes = []
 
@@ -404,6 +459,26 @@ class TestConfigTypes:
         assert agg["seeds"] == [0] and agg["failed_seeds"] == []
         assert isinstance(agg["config"]["train"]["learning_rate"], float)
 
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "output"},
+         "config: missing required key 'output'"),
+        (lambda doc: {**doc, "source": {**doc["source"], "kind": "csv"}},
+         "config.source.kind: expected 'idx' or 'blobs', got 'csv'"),
+        (lambda doc: {**doc, "contamination": {**doc["contamination"], "mode": "flip"}},
+         "config.contamination.mode: expected ncar|kernel|none, got 'flip'"),
+        (lambda doc: [doc], "config: expected an object, got ["),
+        (None, "cannot read config "),
+    ], ids=["no-output", "csv-source", "flip-mode", "array-document", "missing-file"])
+    def test_config_error_branch_names_its_key(self, tmp_path, capsys, edit, expected):
+        if edit is None:
+            cfg = str(tmp_path / "absent.json")
+            expected += cfg
+        else:
+            cfg = write_json(tmp_path / "i.json", edit(inject_config(tmp_path)))
+        assert main(["inject", "--config", cfg]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(f"config error: {expected}")
+        assert not list(tmp_path.glob("*.npz"))
+
     def test_readme_configs_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -479,33 +554,51 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
 
-    def test_verify_exit_code_constant(self):
-        # the failure path is exercised via the mutation test below
-        assert EXIT_VERIFY == 5
+    def test_verify_exit_code_constant(self, monkeypatch, tmp_path, capsys):
+        import rockrelax.verify as verify_mod
 
-    def test_mutated_solver_detected(self, monkeypatch, tmp_path, capsys):
+        assert EXIT_VERIFY == 5
+        monkeypatch.setattr(verify_mod, "solve_reweight", broken_solve)
+        replay = tmp_path / "replays" / "failure.json"
+        assert main(["verify", "--lp-trials", "200", "--grad-trials", "2",
+                     "--replay-file", str(replay)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        # both LP suites fail, and the replay holds the first one's instance
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "FAIL oracle-equivalence", "FAIL pruning-identities",
+            "PASS relaxation-ordering", "PASS gradient-check"]
+        assert f"first failing instance written to {replay}" in captured.err
+        doc = json.loads(replay.read_text())
+        assert doc["suite"] == "oracle-equivalence"
+        assert set(doc["instance"]) == {"c", "gamma", "closed_form", "lp"}
+
+    def test_mutated_solver_detected(self, monkeypatch):
         # an off-by-one in the pruning rule must trip the oracle suite
         import rockrelax.verify as verify_mod
-        from rockrelax.reweight import WeightShift, partition_losses
-
-        def broken_solve(c, gamma):
-            c = np.asarray(c, dtype=float)
-            part = partition_losses(c, gamma)
-            n = c.size
-            u = np.zeros(n)
-            if part.chi.size > 1:
-                keep = part.chi[:-1]  # forgets to prune the last element
-                u[part.i_min] = keep.size / (n * part.i_min.size)
-                u[keep] = -1.0 / n
-            elif part.chi.size:
-                u[part.i_min] = part.chi.size / (n * part.i_min.size)
-                u[part.chi] = -1.0 / n
-            return WeightShift(u)
 
         monkeypatch.setattr(verify_mod, "solve_reweight", broken_solve)
         suite = verify_mod.oracle_equivalence_suite(trials=200, seed=0)
         assert suite.failed > 0
         assert suite.first_failure is not None
+
+
+def broken_solve(c, gamma):
+    """solve_reweight with an off-by-one: it forgets to prune the last element of chi."""
+    from rockrelax.reweight import WeightShift, partition_losses
+
+    c = np.asarray(c, dtype=float)
+    part = partition_losses(c, gamma)
+    n = c.size
+    u = np.zeros(n)
+    if part.chi.size > 1:
+        keep = part.chi[:-1]
+        u[part.i_min] = keep.size / (n * part.i_min.size)
+        u[keep] = -1.0 / n
+    elif part.chi.size:
+        u[part.i_min] = part.chi.size / (n * part.i_min.size)
+        u[part.chi] = -1.0 / n
+    return WeightShift(u)
 
 
 class TestReport:

@@ -85,6 +85,10 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             config(mode="sgd")
 
+    def test_loss_kind_must_be_a_loss_kind(self):
+        with pytest.raises(InvalidInputError, match="loss_kind must be a LossKind, got 'cce'"):
+            config(loss_kind="cce")
+
 
 class TestGradientStep:
     def test_deterministic(self):
