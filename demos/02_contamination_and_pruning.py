@@ -5,8 +5,6 @@ per outer iteration, how many contaminated vs clean samples have been pushed
 into the bottom weight bucket (weight near zero = pruned).
 """
 
-import numpy as np
-
 from rockrelax import (
     Architecture,
     ContaminatedDataset,
@@ -24,8 +22,7 @@ blobs = make_synthetic_blobs(3, 800, 10, 6.0, seed=0)
 observed, chosen = inject_ncar(blobs.clean_labels, rate, 3, seed=100)
 ds = ContaminatedDataset(blobs.features, observed, blobs.clean_labels, chosen, 3)
 train, val, test = split(ds, (0.64, 0.16, 0.2), seed=200)
-test = ContaminatedDataset(test.features, test.clean_labels, test.clean_labels,
-                           np.empty(0, dtype=int), 3)
+test = ContaminatedDataset.clean(test.features, test.clean_labels, 3)
 
 cfg = TrainConfig(mode="rrm", loss_kind=LossKind.CCE, epochs_per_iteration=10,
                   batch_size=32, learning_rate=0.1,

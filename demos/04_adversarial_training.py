@@ -6,8 +6,6 @@ reweighting. The sweep below shows accuracy under test-time FGSM of growing
 strength for the plain and adversarial variants.
 """
 
-import numpy as np
-
 from rockrelax import (
     Architecture,
     ContaminatedDataset,
@@ -25,8 +23,7 @@ blobs = make_synthetic_blobs(3, 600, 10, 6.0, seed=0)
 observed, chosen = inject_ncar(blobs.clean_labels, 0.2, 3, seed=100)
 ds = ContaminatedDataset(blobs.features, observed, blobs.clean_labels, chosen, 3)
 train, val, test = split(ds, (0.64, 0.16, 0.2), seed=200)
-test = ContaminatedDataset(test.features, test.clean_labels, test.clean_labels,
-                           np.empty(0, dtype=int), 3)
+test = ContaminatedDataset.clean(test.features, test.clean_labels, 3)
 
 base = dict(loss_kind=LossKind.CCE, epochs_per_iteration=10, batch_size=32,
             learning_rate=0.1, reweight=ReweightConfig(gamma=0.4, mu=0.5),

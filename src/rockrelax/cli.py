@@ -35,7 +35,7 @@ from rockrelax.data import (
     split,
     subset_classes,
 )
-from rockrelax.errors import FormatError, InvalidInputError, SchemaError
+from rockrelax.errors import FormatError, InvalidInputError, SchemaError, file_faults
 from rockrelax.models import Architecture, LossKind, save_checkpoint
 from rockrelax.reweight import ReweightConfig
 from rockrelax.trainer import BUCKET_LABELS, TrainConfig, _check_fits, evaluate_fgsm_sweep, run
@@ -352,7 +352,10 @@ def cmd_report(args) -> int:
     if missing:
         print("missing artifacts:\n  " + "\n  ".join(missing), file=sys.stderr)
         return EXIT_IO
-    aggregates = [json.loads((d / "aggregate.json").read_text()) for d in run_dirs]
+    aggregates = []
+    for path in (d / "aggregate.json" for d in run_dirs):
+        with file_faults(path, "run aggregate"):
+            aggregates.append(json.loads(path.read_text()))
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,14 +8,13 @@ so that pruning behaviour can be evaluated against ground truth.
 from __future__ import annotations
 
 import struct
-import zipfile
-import zlib
 from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
-from rockrelax.errors import InvalidInputError, FormatError
+from rockrelax.errors import FormatError, InvalidInputError, file_faults
+from rockrelax.models import _check_labels
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -38,16 +37,8 @@ class ContaminatedDataset:
     num_classes: int
 
     def __post_init__(self):
-        n = self.features.shape[0]
-        if self.observed_labels.shape != (n,) or self.clean_labels.shape != (n,):
-            raise InvalidInputError("label arrays disagree with feature count")
         for labels in (self.observed_labels, self.clean_labels):
-            if labels.dtype.kind not in "iu":
-                raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
-            if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-                raise InvalidInputError(
-                    f"labels in [{labels.min()}, {labels.max()}] do not fit "
-                    f"{self.num_classes} classes [0, {self.num_classes})")
+            _check_labels(labels, self.num_classes, self.n)
         differs = np.flatnonzero(self.observed_labels != self.clean_labels)
         if not np.array_equal(np.sort(self.contaminated_set), differs):
             raise InvalidInputError("contaminated_set must be exactly the set of flipped labels")
@@ -106,10 +97,8 @@ class ContaminationKernel:
     @classmethod
     def from_file(cls, path) -> "ContaminationKernel":
         """Parse a whitespace-separated K x K decimal matrix; any fault is a FormatError."""
-        try:
+        with file_faults(path, "kernel file"):
             return cls.from_rows(np.loadtxt(path, dtype=float, ndmin=2))
-        except (OSError, ValueError) as exc:  # InvalidInputError is a ValueError
-            raise FormatError(f"invalid kernel file {path}: {exc}") from exc
 
 
 def mnist_kernel_path():
@@ -192,7 +181,9 @@ def _num_contaminated(rate: float, n: int) -> int:
 
 def inject_ncar(labels, rate: float, num_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform label noise: flip round(rate*N) labels to a uniformly-drawn wrong class."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    _check_labels(labels, num_classes, labels.size)
+    labels = labels.astype(np.int64, copy=False)
     n = labels.size
     m = _num_contaminated(rate, n)
     if m > 0 and num_classes < 2:
@@ -209,9 +200,9 @@ def inject_ncar(labels, rate: float, num_classes: int, seed: int) -> tuple[np.nd
 def inject_kernel(labels, rate: float, kernel: ContaminationKernel,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Non-uniform noise: flipped labels drawn from the kernel row of the true class."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and labels.max() >= kernel.num_classes:
-        raise InvalidInputError("labels exceed kernel dimension")
+    labels = np.asarray(labels)
+    _check_labels(labels, kernel.num_classes, labels.size)
+    labels = labels.astype(np.int64, copy=False)
     n = labels.size
     m = _num_contaminated(rate, n)
     rng = np.random.default_rng(seed)
@@ -291,8 +282,9 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
     Every fault of the file is a FormatError.  Features must be finite real
     numbers; that is checked here, once, not in every split's ContaminatedDataset.
     """
-    try:
-        z = np.load(path, allow_pickle=False)
+    # np.load is given an open handle: on a truncated archive it leaves its own open
+    with file_faults(path, "dataset cache"), open(path, "rb") as f:
+        z = np.load(f, allow_pickle=False)
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise FormatError("a bare array, not an npz archive")
         with z:
@@ -313,7 +305,4 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
                 contaminated_set=np.flatnonzero(z["contaminated_mask"]),
                 num_classes=int(z["num_classes"]),
             )
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        # FormatError and InvalidInputError are ValueErrors
-        raise FormatError(f"invalid dataset cache {path}: {exc}") from exc
     return dataset, header

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rockrelax.errors import InvalidInputError, NumericError, FormatError
+from rockrelax.errors import FormatError, InvalidInputError, NumericError, file_faults
 
 # Probability floor applied before log in the cross-entropy loss.
 CCE_CLAMP = 1e-12
@@ -130,10 +130,8 @@ def init_params(architecture: Architecture, seed: int) -> ModelState:
 
 def _check_features(architecture: Architecture, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != architecture.input_dim:
-        raise InvalidInputError(
-            f"feature dim {x.shape[-1] if x.ndim else '?'} does not match "
-            f"input width {architecture.input_dim}"
-        )
+        raise InvalidInputError(f"{x.shape[-1] if x.ndim else '?'}-dim features, "
+                                f"but the architecture takes {architecture.input_dim}")
 
 
 def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
@@ -144,7 +142,8 @@ def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
         raise InvalidInputError(f"expected {rows} labels, got an array of shape {labels.shape}")
     # size first: min() of an empty array raises ValueError
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise InvalidInputError(f"labels must lie in [0, {k})")
+        raise InvalidInputError(f"labels in [{labels.min()}, {labels.max()}], "
+                                f"which do not fit {k} classes [0, {k})")
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -353,10 +352,12 @@ def save_checkpoint(path, model: ModelState, seed: int | None = None, extra: dic
 
 
 def load_checkpoint(path) -> tuple[ModelState, int | None, dict]:
-    """Read a checkpoint written by save_checkpoint."""
-    with np.load(path, allow_pickle=False) as z:
+    """Read a checkpoint written by save_checkpoint; any fault of the file is a FormatError."""
+    # np.load is given an open handle: on a truncated archive it leaves its own open
+    with (file_faults(path, "checkpoint"), open(path, "rb") as f,
+          np.load(f, allow_pickle=False) as z):
         if "version" not in z or int(z["version"]) != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version in {path}")
+            raise FormatError("unsupported checkpoint version")
         arch = Architecture(tuple(int(w) for w in z["widths"]))
         seed = int(z["seed"])
         model = ModelState(arch, z["theta"])

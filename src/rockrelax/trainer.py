@@ -19,6 +19,8 @@ from rockrelax.models import (
     Architecture,
     LossKind,
     ModelState,
+    _check_features,
+    _check_labels,
     fgsm_perturb,
     forward,
     grad_params_weighted,
@@ -244,15 +246,12 @@ def _check_fits(dataset: ContaminatedDataset, architecture: Architecture, name: 
     The feature width must be the input width.  Observed labels train the
     model and clean labels score it, so both must lie in [0, outputs).
     """
-    if dataset.input_dim != architecture.input_dim:
-        raise InvalidInputError(f"{name} holds {dataset.input_dim}-dim features, "
-                                f"but the architecture takes {architecture.input_dim}")
-    k = architecture.num_classes
-    labels = np.concatenate([dataset.observed_labels, dataset.clean_labels])
-    # size first: min() of an empty array raises ValueError
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise InvalidInputError(f"{name} holds labels in [{labels.min()}, {labels.max()}], "
-                                f"but the architecture's {k} outputs take labels in [0, {k})")
+    try:
+        _check_features(architecture, dataset.features)
+        for labels in (dataset.observed_labels, dataset.clean_labels):
+            _check_labels(labels, architecture.num_classes, dataset.n)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{name} holds {exc}") from exc
 
 
 def run(train: ContaminatedDataset, validation: ContaminatedDataset,

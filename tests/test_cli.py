@@ -311,8 +311,12 @@ class TestTrain:
         assert not list(out_dir.glob("seed_*"))
         assert not (out_dir / "aggregate.json").exists()
 
-    @pytest.mark.parametrize("fault", ["nan-feature", "string-features", "no-features",
-                                       "not-an-npz", "truncated"])
+    @pytest.mark.parametrize("fault", [
+        "nan-feature", "string-features", "no-features", "wrong-version", "not-an-npz",
+        "bare-npy",
+        # a truncated archive must not leave its file open (a ResourceWarning)
+        pytest.param("truncated", marks=pytest.mark.filterwarnings("error")),
+    ])
     def test_faulty_cache_rejected_before_any_seed(self, caches, capsys, fault):
         path = caches / "train_cache.npz"
         with np.load(path) as z:
@@ -323,9 +327,14 @@ class TestTrain:
             arrays["features"] = arrays["features"].astype(str)
         elif fault == "no-features":
             del arrays["features"]
+        elif fault == "wrong-version":
+            arrays["version"] = np.array(2)
         np.savez_compressed(path, **arrays)
         if fault == "not-an-npz":
             path.write_text("features,label\n0.1,2\n")
+        elif fault == "bare-npy":
+            with open(path, "wb") as f:
+                np.save(f, arrays["features"])
         elif fault == "truncated":
             path.write_bytes(path.read_bytes()[:200])
         cfg = write_json(caches / "train.json", train_config(caches))
@@ -638,3 +647,14 @@ class TestReport:
     def test_missing_artifacts_listed(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_IO
         assert "missing artifacts" in capsys.readouterr().err
+
+    def test_malformed_aggregate_io_error(self, tmp_path, capsys):
+        path = tmp_path / "run" / "aggregate.json"
+        path.parent.mkdir()
+        path.write_text('{"seeds": [0], "mode": ')
+        out = tmp_path / "report"
+        assert main(["report", str(path.parent), "--output-dir", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: invalid run aggregate {path}: ")
+        assert "Traceback" not in err
+        assert not (out / "comparison.txt").exists()

@@ -72,6 +72,13 @@ class TestIdx:
         with pytest.raises(FormatError, match="magic"):
             load_idx(tmp_path / "i", tmp_path / "l")
 
+    def test_bad_label_magic(self, tmp_path):
+        import struct
+        (tmp_path / "i").write_bytes(struct.pack(">IIII", 2051, 0, 28, 28))
+        (tmp_path / "l").write_bytes(struct.pack(">II", 2051, 0))
+        with pytest.raises(FormatError, match="bad label magic 2051"):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
     def test_count_mismatch(self, tmp_path):
         import struct
         (tmp_path / "i").write_bytes(struct.pack(">IIII", 2051, 1, 1, 1) + b"\x00")
@@ -185,6 +192,14 @@ class TestSubset:
             subset_classes(ds, {1, 2})
 
 
+# labels that neither injector may take: outside the 10 classes, or not integers
+INVALID_LABELS = [
+    (np.array([0, -1, 3]), r"labels in \[-1, 3\], which do not fit 10 classes"),
+    (np.array([0, 12, 3]), r"labels in \[0, 12\], which do not fit 10 classes"),
+    (np.array([1.7, 0.2, 3.9]), "labels must be integers, got dtype float64"),
+]
+
+
 class TestNcar:
     def test_rate_zero_noop(self):
         labels = np.arange(10) % 3
@@ -226,6 +241,12 @@ class TestNcar:
         with pytest.raises(InvalidInputError):
             inject_ncar(np.zeros(5, dtype=int), 0.5, 1, seed=0)
 
+    @pytest.mark.parametrize("labels,message", INVALID_LABELS)
+    def test_labels_outside_the_rule_rejected(self, labels, message):
+        # unchecked, -1 and 12 would wrap modulo 10 and floats would be truncated
+        with pytest.raises(InvalidInputError, match=message):
+            inject_ncar(labels, 0.5, 10, seed=0)
+
 
 class TestKernel:
     def test_fixture_values(self):
@@ -253,6 +274,13 @@ class TestKernel:
         assert counts[~support].sum() == 0
         stat = chisquare(counts[support], expected[support])
         assert stat.pvalue > 0.01
+
+    @pytest.mark.parametrize("labels,message", INVALID_LABELS)
+    def test_labels_outside_the_rule_rejected(self, labels, message):
+        # unchecked, -1 would draw from the last kernel row and floats would be truncated
+        kernel = ContaminationKernel.from_file(mnist_kernel_path())
+        with pytest.raises(InvalidInputError, match=message):
+            inject_kernel(labels, 0.5, kernel, seed=0)
 
     def test_row_sum_violation_rejected(self):
         bad = np.full((3, 3), 0.8)
@@ -368,6 +396,14 @@ class TestInvariants:
         scattered[ds.contaminated_set] = True
         mask = ds.contamination_mask()
         assert mask.dtype == bool and np.array_equal(mask, scattered)
+
+    @pytest.mark.parametrize("which", ["observed", "clean"])
+    def test_label_count_must_equal_the_feature_rows(self, which):
+        labels = {"observed": np.array([0, 1, 0, 1]), "clean": np.array([0, 1, 0, 1])}
+        labels[which] = labels[which][:3]
+        with pytest.raises(InvalidInputError, match="expected 4 labels"):
+            ContaminatedDataset(np.zeros((4, 2)), labels["observed"], labels["clean"],
+                                np.empty(0, dtype=int), 3)
 
     def test_contamination_set_consistency_enforced(self):
         rng = np.random.default_rng(14)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from rockrelax.errors import InvalidInputError, NumericError
+from rockrelax.errors import FormatError, InvalidInputError, NumericError
 from rockrelax.models import (
     MNIST3_WIDTHS,
     Architecture,
@@ -641,3 +643,27 @@ class TestArchitecture:
         np.testing.assert_array_equal(loaded.theta, model.theta)
         assert loaded.architecture == model.architecture
         assert seed == 11 and meta == {"note": "unit"}
+
+    @pytest.mark.parametrize("fault", [
+        "no-theta", "nan-theta", "wrong-version", "not-an-npz",
+        # a truncated archive must not leave its file open (a ResourceWarning)
+        pytest.param("truncated", marks=pytest.mark.filterwarnings("error")),
+    ])
+    def test_faulty_checkpoint_is_a_format_error(self, tmp_path, fault):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, init_params(Architecture((6, 4, 3)), seed=11), seed=11)
+        with np.load(path) as z:
+            arrays = dict(z)
+        if fault == "no-theta":
+            del arrays["theta"]
+        elif fault == "nan-theta":
+            arrays["theta"][5] = np.nan
+        elif fault == "wrong-version":
+            arrays["version"] = np.array(2)
+        np.savez(path, **arrays)
+        if fault == "not-an-npz":
+            path.write_text("theta\n0.1\n")
+        elif fault == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(FormatError, match=f"^invalid checkpoint {re.escape(str(path))}: "):
+            load_checkpoint(path)

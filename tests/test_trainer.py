@@ -29,8 +29,7 @@ def contaminated_blobs(seed, rate=0.2, per_class=150, dim=6, separation=8.0):
 
 
 def pristine(ds):
-    return ContaminatedDataset(ds.features, ds.clean_labels, ds.clean_labels,
-                               np.empty(0, dtype=int), ds.num_classes)
+    return ContaminatedDataset.clean(ds.features, ds.clean_labels, ds.num_classes)
 
 
 def blob_splits(seed, rate=0.2, **kw):
@@ -89,6 +88,19 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="loss_kind must be a LossKind, got 'cce'"):
             config(loss_kind="cce")
 
+    @pytest.mark.parametrize("mode,kw,message", [
+        ("arrm", {"epsilon_train": 1.5}, r"epsilon_train must lie in \[0, 1\], got 1.5"),
+        ("rrm", {"epsilon_train": -0.1}, r"epsilon_train must lie in \[0, 1\], got -0.1"),
+        ("rrm", {"epochs_per_iteration": 0}, "epochs, batch size, and iterations must be >= 1"),
+        ("rrm", {"batch_size": 0}, "epochs, batch size, and iterations must be >= 1"),
+        ("rrm", {"max_iterations": 0}, "epochs, batch size, and iterations must be >= 1"),
+        ("rrm", {"learning_rate": 0.0}, "learning rate must be positive, got 0.0"),
+        ("rrm", {"learning_rate": float("nan")}, "learning rate must be positive, got nan"),
+    ])
+    def test_value_out_of_range_rejected(self, mode, kw, message):
+        with pytest.raises(InvalidInputError, match=message):
+            config(mode, **kw)
+
 
 class TestGradientStep:
     def test_deterministic(self):
@@ -99,6 +111,14 @@ class TestGradientStep:
         a = gradient_step(m0, train, WeightShift.zero(train.n), cfg, np.random.default_rng(5))
         b = gradient_step(m0, train, WeightShift.zero(train.n), cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    def test_shift_vector_of_another_length_rejected(self):
+        train, _, _ = blob_splits(0)
+        model = trainer.init_params(ARCH, 0)
+        with pytest.raises(InvalidInputError, match=f"shift vector length {train.n - 1} != "
+                                                    f"dataset size {train.n}"):
+            gradient_step(model, train, WeightShift.zero(train.n - 1), config(),
+                          np.random.default_rng(5))
 
     def test_fully_pruned_sample_has_no_influence(self):
         train, _, _ = blob_splits(1)

@@ -62,8 +62,7 @@ def splits(seed: int):
     observed, chosen = inject_ncar(ds.clean_labels, 0.4, 3, seed=seed + 100)
     ds = ContaminatedDataset(ds.features, observed, ds.clean_labels, chosen, 3)
     train, val, test = split(ds, (0.64, 0.16, 0.2), seed=seed + 200)
-    test = ContaminatedDataset(test.features, test.clean_labels, test.clean_labels,
-                               np.empty(0, dtype=int), 3)
+    test = ContaminatedDataset.clean(test.features, test.clean_labels, 3)
     return train, val, test
 
 
