@@ -2,9 +2,10 @@
 
 Configs are strict JSON documents (every key typed, unknown keys rejected,
 schema versioned).  Every artifact embeds its config so results trace back to
-exact inputs.  Exit codes: 0 success, 2 config/schema, 3 I/O (a missing or
-malformed file), 4 every `train` seed failed, 5 verification failure.  An
-unexpected failure prints its traceback and exits 1, as Python does.
+exact inputs.  `report` reads every input before it writes anything.  Exit
+codes: 0 success, 2 config/schema or a bad flag, 3 I/O (a missing or malformed
+file, named in the message), 4 every `train` seed failed, 5 verification
+failure.  An unexpected failure prints its traceback and exits 1, as Python does.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,9 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 SCHEMA_VERSION = 1
+
+# each is written to aggregate.json as <key>_mean and <key>_std, and read from it by report
+_AGGREGATE_KEYS = ("test_at_peak_validation", "max_test_accuracy")
 
 
 # ---------------------------------------------------------------- config
@@ -226,7 +231,7 @@ def _run_one_seed(config: TrainConfig, arch: Architecture, train_ds: Contaminate
         summary["epsilon_test_accuracy"] = evaluate_fgsm_sweep(
             model, test_ds, epsilon_test, config.loss_kind)
     with open(seed_dir / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, default=str)
+        json.dump(summary, f, indent=2)
     return summary
 
 
@@ -275,20 +280,14 @@ def cmd_train(args) -> int:
     summaries, failures = [], []
     # a fork-started pool starts all its workers at the first submit, so size it to the seeds
     workers = min(args.workers, len(seeds))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(_run_one_seed, replace(config, seed=seed), *shared)
-                       for seed in seeds}
-            for seed, fut in futures.items():
-                try:
-                    summaries.append(fut.result())
-                except Exception as exc:  # per-seed isolation
-                    failures.append(_failure(seed, exc))
-    else:
-        for seed in seeds:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        jobs = {seed: partial(_run_one_seed, replace(config, seed=seed), *shared) for seed in seeds}
+        if pool is not None:  # every seed is submitted before the first result is awaited
+            jobs = {seed: pool.submit(job).result for seed, job in jobs.items()}
+        for seed, job in jobs.items():
             try:
-                summaries.append(_run_one_seed(replace(config, seed=seed), *shared))
-            except Exception as exc:
+                summaries.append(job())
+            except Exception as exc:  # per-seed isolation
                 failures.append(_failure(seed, exc))
 
     for failure in failures:
@@ -302,7 +301,7 @@ def cmd_train(args) -> int:
         "seeds": [s["seed"] for s in summaries],
     }
     if summaries:
-        for key in ("test_at_peak_validation", "max_test_accuracy"):
+        for key in _AGGREGATE_KEYS:
             values = np.array([s[key] for s in summaries], dtype=float)
             aggregate[f"{key}_mean"] = float(values.mean())
             # population std, matching mean +/- std reporting over seeds
@@ -315,15 +314,13 @@ def cmd_train(args) -> int:
     aggregate.update({"failed_seeds": [f["seed"] for f in failures], "failures": failures,
                       "version": __version__})
     with open(out_dir / "aggregate.json", "w") as f:
-        json.dump(aggregate, f, indent=2, default=str)
-    if failures and not summaries:
-        print(f"{aggregate['mode']}: every seed failed -> {out_dir}")
+        json.dump(aggregate, f, indent=2)
+    if not summaries:
+        print(f"{config.mode}: every seed failed -> {out_dir}")
         return EXIT_NUMERIC
-    if summaries:
-        print(f"{aggregate['mode']}: test@peak-val "
-              f"{aggregate['test_at_peak_validation_mean']:.4f} "
-              f"± {aggregate['test_at_peak_validation_std']:.4f} "
-              f"over {len(summaries)} seed(s) -> {out_dir}")
+    print(f"{config.mode}: test@peak-val {aggregate['test_at_peak_validation_mean']:.4f} "
+          f"± {aggregate['test_at_peak_validation_std']:.4f} "
+          f"over {len(summaries)} seed(s) -> {out_dir}")
     return EXIT_OK
 
 
@@ -352,68 +349,55 @@ def cmd_report(args) -> int:
     if missing:
         print("missing artifacts:\n  " + "\n  ".join(missing), file=sys.stderr)
         return EXIT_IO
-    aggregates = []
-    for path in (d / "aggregate.json" for d in run_dirs):
+
+    # every input is read, and every output row built, before anything is written
+    lines = ["run  mode  test@peak-val  max-test"]
+    rows, evolution = [], []
+    by_mode = {}  # mode -> test_at_peak_validation_mean, of runs with a finished seed
+    for d in run_dirs:
+        path = d / "aggregate.json"
         with file_faults(path, "run aggregate"):
-            aggregates.append(json.loads(path.read_text()))
+            agg = json.loads(path.read_text())
+            mode = agg["mode"]
+            if not agg["seeds"]:
+                # a failures-only aggregate: no accuracies to tabulate
+                lines.append(f"{d.name}  {mode}  every seed failed")
+            else:
+                stats = [agg[f"{key}_{stat}"] for key in _AGGREGATE_KEYS for stat in ("mean", "std")]
+                peak_mean, peak_std, max_mean, _ = stats
+                lines.append(f"{d.name}  {mode}  {100 * peak_mean:.1f} ± {100 * peak_std:.1f}  "
+                             f"{100 * max_mean:.1f}")
+                rows.append([d.name, mode, *stats])
+                by_mode[mode] = peak_mean
+            for failure in agg.get("failures", []):
+                lines.append(f"  seed {failure['seed']} failed: {failure['type']}: {failure['message']}")
+        # weight evolution: seeds x iterations x buckets x {contaminated, clean}
+        for seed_dir in sorted(d.glob("seed_*")):
+            path = seed_dir / "record.csv"
+            with file_faults(path, "run record"), open(path) as f:
+                for rec in csv.DictReader(f):
+                    for bi, label in enumerate(BUCKET_LABELS):
+                        for population in ("contaminated", "clean"):
+                            evolution.append([d.name, seed_dir.name, rec["iteration"], label,
+                                              population, rec[f"hist_{population}_{bi}"]])
+    # accuracy comparison: the erm value with each reweighted one in parentheses
+    if "erm" in by_mode:
+        lines += [f"comparison: {100 * by_mode['erm']:.0f} ({100 * peak:.0f}) [erm ({mode})]"
+                  for mode, peak in by_mode.items() if mode != "erm"]
+    table_txt = "\n".join(lines)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # accuracy comparison: baseline columns with reweighted values in parentheses
-    lines = ["run  mode  test@peak-val  max-test"]
-    rows = []
-    for d, agg in zip(run_dirs, aggregates):
-        if not agg["seeds"]:
-            # a failures-only aggregate: no accuracies to tabulate
-            lines.append(f"{d.name}  {agg['mode']}  every seed failed")
-        else:
-            lines.append(
-                f"{d.name}  {agg['mode']}  "
-                f"{100 * agg['test_at_peak_validation_mean']:.1f} ± "
-                f"{100 * agg['test_at_peak_validation_std']:.1f}  "
-                f"{100 * agg['max_test_accuracy_mean']:.1f}"
-            )
-            rows.append([d.name, agg["mode"],
-                         agg["test_at_peak_validation_mean"],
-                         agg["test_at_peak_validation_std"],
-                         agg["max_test_accuracy_mean"],
-                         agg["max_test_accuracy_std"]])
-        for failure in agg.get("failures", []):
-            lines.append(f"  seed {failure['seed']} failed: {failure['type']}: {failure['message']}")
-    by_mode = {agg["mode"]: agg for agg in aggregates if agg["seeds"]}
-    if "erm" in by_mode:
-        base = by_mode["erm"]
-        for mode, agg in by_mode.items():
-            if mode == "erm":
-                continue
-            lines.append(
-                f"comparison: {100 * base['test_at_peak_validation_mean']:.0f} "
-                f"({100 * agg['test_at_peak_validation_mean']:.0f}) "
-                f"[erm ({mode})]"
-            )
-    table_txt = "\n".join(lines)
     (out_dir / "comparison.txt").write_text(table_txt + "\n")
     with open(out_dir / "comparison.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["run", "mode", "test_at_peak_val_mean", "test_at_peak_val_std",
                     "max_test_mean", "max_test_std"])
         w.writerows(rows)
-
-    # weight-evolution export: iterations x buckets x {contaminated, clean}
     with open(out_dir / "weight_evolution.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["run", "seed", "iteration", "bucket", "population", "count"])
-        for d in run_dirs:
-            for seed_dir in sorted(d.glob("seed_*")):
-                with open(seed_dir / "record.csv") as rf:
-                    for rec in csv.DictReader(rf):
-                        for bi, label in enumerate(BUCKET_LABELS):
-                            w.writerow([d.name, seed_dir.name, rec["iteration"],
-                                        label, "contaminated",
-                                        rec[f"hist_contaminated_{bi}"]])
-                            w.writerow([d.name, seed_dir.name, rec["iteration"],
-                                        label, "clean", rec[f"hist_clean_{bi}"]])
+        w.writerows(evolution)
     print(table_txt)
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
@@ -453,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the randomized verification suites")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--lp-trials", type=int, default=1000)
-    p_verify.add_argument("--grad-trials", type=int, default=100)
+    p_verify.add_argument("--lp-trials", type=_positive_int, default=1000)
+    p_verify.add_argument("--grad-trials", type=_positive_int, default=100)
     p_verify.add_argument("--replay-file", default="verify_failure.json")
     p_verify.set_defaults(func=cmd_verify)
 

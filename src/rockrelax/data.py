@@ -128,6 +128,8 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         labels = np.frombuffer(_read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
     if label_count != count:
         raise FormatError(f"count mismatch: {count} images vs {label_count} labels")
+    if count == 0:
+        raise FormatError(f"{images_path}: holds no samples")
     return features, labels.astype(np.int64)
 
 

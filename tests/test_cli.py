@@ -15,7 +15,7 @@ from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VER
 from rockrelax.data import ContaminatedDataset, load_cache, mnist_kernel_path, save_cache, write_idx
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
-from rockrelax.trainer import TrainConfig, accuracy
+from rockrelax.trainer import IterationRecord, RunRecord, TrainConfig, accuracy
 
 
 def write_json(path, doc):
@@ -170,6 +170,19 @@ class TestInject:
                          "labels": str(tmp_path / "labels.idx"), "num_classes": 2}
         assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_SCHEMA
         assert "do not fit 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "train_cache.npz").exists()
+
+    @pytest.mark.parametrize("num_classes", [None, 3], ids=["no-num-classes", "num-classes"])
+    def test_idx_without_samples_io_error(self, tmp_path, capsys, num_classes):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, labels, np.zeros((0, 4)), np.zeros(0, dtype=int), rows=2, cols=2)
+        doc = inject_config(tmp_path, rate=0.0, mode="none")
+        doc["source"] = {"kind": "idx", "images": str(images), "labels": str(labels)}
+        if num_classes is not None:
+            doc["source"]["num_classes"] = num_classes
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {images}: holds no samples\n"
         assert not (tmp_path / "train_cache.npz").exists()
 
     def test_mode_none_records_the_applied_rate(self, tmp_path, capsys):
@@ -563,6 +576,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
 
+    @pytest.mark.parametrize("flag", ["--lp-trials", "--grad-trials"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, capsys, flag, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, trials])
+        assert exc.value.code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "PASS" not in captured.out
+
     def test_verify_exit_code_constant(self, monkeypatch, tmp_path, capsys):
         import rockrelax.verify as verify_mod
 
@@ -610,6 +633,27 @@ def broken_solve(c, gamma):
     return WeightShift(u)
 
 
+ERM_AGGREGATE = {"mode": "erm", "seeds": [0, 1], "test_at_peak_validation_mean": 0.75,
+                 "test_at_peak_validation_std": 0.05, "max_test_accuracy_mean": 0.8,
+                 "max_test_accuracy_std": 0.1, "failed_seeds": [], "failures": []}
+
+
+def write_run(run_dir, aggregate, seeds=()):
+    """A run directory built by hand: `aggregate` as its aggregate.json, and per seed a
+    two-iteration record.csv whose histogram counts spell seed, iteration and bucket."""
+    for seed in seeds:
+        record = RunRecord(config={})
+        for it in (1, 2):
+            counts = [100 * seed + 10 * it + bucket for bucket in range(6)]
+            record.iterations.append(IterationRecord(
+                it, 1.0, 0.5, 2.0, 0.8, 0.7, 0.75, 0.1, 3, 0.5, 0.5,
+                hist_contaminated=tuple(counts), hist_clean=tuple(1000 + c for c in counts)))
+        (run_dir / f"seed_{seed}").mkdir(parents=True)
+        record.to_csv(run_dir / f"seed_{seed}" / "record.csv")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_json(run_dir / "aggregate.json", aggregate)
+
+
 class TestReport:
     def test_comparison_and_weight_evolution(self, caches):
         cfg_doc = train_config(caches)
@@ -648,13 +692,72 @@ class TestReport:
         assert main(["report", str(tmp_path / "nope")]) == EXIT_IO
         assert "missing artifacts" in capsys.readouterr().err
 
-    def test_malformed_aggregate_io_error(self, tmp_path, capsys):
-        path = tmp_path / "run" / "aggregate.json"
-        path.parent.mkdir()
-        path.write_text('{"seeds": [0], "mode": ')
+    @pytest.mark.parametrize("fault", ["not-json", "no-mode", "json-array",
+                                       "record-without-a-hist-column", "no-record"])
+    def test_malformed_aggregate_io_error(self, tmp_path, capsys, fault):
+        run = tmp_path / "run"
+        write_run(run, ERM_AGGREGATE, seeds=[0])
+        path, what = run / "aggregate.json", "run aggregate"
+        if fault == "not-json":
+            path.write_text('{"seeds": [0], "mode": ')
+        elif fault == "no-mode":
+            write_json(path, {key: v for key, v in ERM_AGGREGATE.items() if key != "mode"})
+        elif fault == "json-array":
+            write_json(path, [ERM_AGGREGATE])
+        else:
+            path, what = run / "seed_0" / "record.csv", "run record"
+            if fault == "no-record":
+                path.unlink()
+            else:
+                with open(path, newline="") as f:
+                    rows = list(csv.reader(f))
+                with open(path, "w", newline="") as f:
+                    csv.writer(f).writerows(row[:-1] for row in rows)
         out = tmp_path / "report"
-        assert main(["report", str(path.parent), "--output-dir", str(out)]) == EXIT_IO
+        assert main(["report", str(run), "--output-dir", str(out)]) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith(f"i/o error: invalid run aggregate {path}: ")
+        assert err.startswith(f"i/o error: invalid {what} {path}: ")
         assert "Traceback" not in err
         assert not (out / "comparison.txt").exists()
+        assert not (out / "weight_evolution.csv").exists()
+
+    def test_exact_bytes(self, tmp_path):
+        failure = {"traceback": "Traceback (most recent call last): ..."}
+        write_run(tmp_path / "erm", ERM_AGGREGATE, seeds=[0, 1])
+        write_run(tmp_path / "rrm", {
+            "mode": "rrm", "seeds": [3], "test_at_peak_validation_mean": 0.85,
+            "test_at_peak_validation_std": 0.0, "max_test_accuracy_mean": 0.9,
+            "max_test_accuracy_std": 0.0, "failed_seeds": [4],
+            "failures": [dict(failure, seed=4, type="NumericError", message="diverged")]}, seeds=[3])
+        write_run(tmp_path / "dead", {
+            "mode": "arrm", "seeds": [], "failed_seeds": [5],
+            "failures": [dict(failure, seed=5, type="ValueError", message="bad")]})
+        out = tmp_path / "report"
+        assert main(["report", *(str(tmp_path / run) for run in ("erm", "rrm", "dead")),
+                     "--output-dir", str(out)]) == EXIT_OK
+        assert (out / "comparison.txt").read_text() == (
+            "run  mode  test@peak-val  max-test\n"
+            "erm  erm  75.0 ± 5.0  80.0\n"
+            "rrm  rrm  85.0 ± 0.0  90.0\n"
+            "  seed 4 failed: NumericError: diverged\n"
+            "dead  arrm  every seed failed\n"
+            "  seed 5 failed: ValueError: bad\n"
+            "comparison: 75 (85) [erm (rrm)]\n")
+        assert (out / "comparison.csv").read_text() == (
+            "run,mode,test_at_peak_val_mean,test_at_peak_val_std,max_test_mean,max_test_std\n"
+            "erm,erm,0.75,0.05,0.8,0.1\n"
+            "rrm,rrm,0.85,0.0,0.9,0.0\n")
+        lines = (out / "weight_evolution.csv").read_bytes().split(b"\r\n")
+        # 2 seeds of erm and 1 of rrm, x 2 iterations x 6 buckets x 2 populations
+        assert len(lines) == 1 + 3 * 2 * 6 * 2 + 1 and lines[-1] == b""
+        assert lines[:6] == [
+            b"run,seed,iteration,bucket,population,count",
+            b"erm,seed_0,1,>>0,contaminated,10",
+            b"erm,seed_0,1,>>0,clean,1010",
+            b"erm,seed_0,1,~0,contaminated,11",
+            b"erm,seed_0,1,~0,clean,1011",
+            b'erm,seed_0,1,"(-1/4N, 0)",contaminated,12',
+        ]
+        assert lines[13] == b"erm,seed_0,2,>>0,contaminated,20"
+        assert lines[25] == b"erm,seed_1,1,>>0,contaminated,110"
+        assert lines[49] == b"rrm,seed_3,1,>>0,contaminated,310"

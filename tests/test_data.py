@@ -79,6 +79,12 @@ class TestIdx:
         with pytest.raises(FormatError, match="bad label magic 2051"):
             load_idx(tmp_path / "i", tmp_path / "l")
 
+    def test_no_samples_rejected(self, tmp_path):
+        write_idx(tmp_path / "i", tmp_path / "l", np.zeros((0, 784)), np.zeros(0, dtype=int))
+        with pytest.raises(FormatError) as exc:
+            load_idx(tmp_path / "i", tmp_path / "l")
+        assert str(exc.value) == f"{tmp_path / 'i'}: holds no samples"
+
     def test_count_mismatch(self, tmp_path):
         import struct
         (tmp_path / "i").write_bytes(struct.pack(">IIII", 2051, 1, 1, 1) + b"\x00")
