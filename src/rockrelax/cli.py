@@ -260,8 +260,8 @@ def cmd_train(args) -> int:
         config = _train_config(doc, args.mode)
     with _config_values("config.architecture"):
         arch = Architecture(tuple(doc["architecture"]))
-    if not seeds or len(set(seeds)) < len(seeds):
-        raise SchemaError(f"config.seeds: must be non-empty and distinct, got {seeds}")
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise SchemaError(f"config.seeds: must be non-empty, distinct and >= 0, got {seeds}")
     if not all(0 <= e <= 1 for e in epsilon_test):
         raise SchemaError(f"config.epsilon_test: values must lie in [0, 1], got {epsilon_test}")
     if not 0 <= val_frac < 1:
@@ -375,7 +375,12 @@ def cmd_report(args) -> int:
         for seed_dir in sorted(d.glob("seed_*")):
             path = seed_dir / "record.csv"
             with file_faults(path, "run record"), open(path) as f:
-                for rec in csv.DictReader(f):
+                reader = csv.DictReader(f)
+                for rec in reader:
+                    # DictReader files a missing cell as None, and extra cells under the key None
+                    if None in rec or None in rec.values():
+                        raise ValueError(f"line {reader.line_num} does not have the header's "
+                                         f"{len(reader.fieldnames)} cells")
                     for bi, label in enumerate(BUCKET_LABELS):
                         for population in ("contaminated", "clean"):
                             evolution.append([d.name, seed_dir.name, rec["iteration"], label,

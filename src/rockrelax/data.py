@@ -174,27 +174,28 @@ def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
                    clean_labels=lut[sub.clean_labels], num_classes=len(keep))
 
 
-def _num_contaminated(rate: float, n: int) -> int:
+def _choose_flips(labels, rate: float, num_classes: int, seed: int):
+    """The checked int64 labels, the sorted ids of the round(rate*N) samples to flip,
+    and the generator, seeded by `seed`, that the flipped labels are then drawn from."""
+    labels = np.asarray(labels)
+    _check_labels(labels, num_classes, labels.size)
+    labels = labels.astype(np.int64, copy=False)
     if not 0 <= rate <= 1:
         raise InvalidInputError(f"contamination rate must lie in [0, 1], got {rate}")
     # round-half-up, per |C| = round(rate * N)
-    return int(np.floor(rate * n + 0.5))
+    m = int(np.floor(rate * labels.size + 0.5))
+    if m > 0 and num_classes < 2:
+        raise InvalidInputError("need at least 2 classes to contaminate labels")
+    rng = np.random.default_rng(seed)
+    return labels, np.sort(rng.choice(labels.size, size=m, replace=False)), rng
 
 
 def inject_ncar(labels, rate: float, num_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform label noise: flip round(rate*N) labels to a uniformly-drawn wrong class."""
-    labels = np.asarray(labels)
-    _check_labels(labels, num_classes, labels.size)
-    labels = labels.astype(np.int64, copy=False)
-    n = labels.size
-    m = _num_contaminated(rate, n)
-    if m > 0 and num_classes < 2:
-        raise InvalidInputError("need at least 2 classes to contaminate labels")
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(n, size=m, replace=False))
+    labels, chosen, rng = _choose_flips(labels, rate, num_classes, seed)
     observed = labels.copy()
     # offset in 1..K-1 gives a uniform draw over the K-1 wrong classes
-    offsets = rng.integers(1, num_classes, size=m)
+    offsets = rng.integers(1, num_classes, size=chosen.size)
     observed[chosen] = (labels[chosen] + offsets) % num_classes
     return observed, chosen
 
@@ -202,13 +203,7 @@ def inject_ncar(labels, rate: float, num_classes: int, seed: int) -> tuple[np.nd
 def inject_kernel(labels, rate: float, kernel: ContaminationKernel,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Non-uniform noise: flipped labels drawn from the kernel row of the true class."""
-    labels = np.asarray(labels)
-    _check_labels(labels, kernel.num_classes, labels.size)
-    labels = labels.astype(np.int64, copy=False)
-    n = labels.size
-    m = _num_contaminated(rate, n)
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(n, size=m, replace=False))
+    labels, chosen, rng = _choose_flips(labels, rate, kernel.num_classes, seed)
     observed = labels.copy()
     for i in chosen:
         observed[i] = rng.choice(kernel.num_classes, p=kernel.matrix[labels[i]])

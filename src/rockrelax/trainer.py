@@ -58,10 +58,10 @@ _NEAR_ZERO = 1e-6
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    `patience` is the number of iterations without a new peak validation
-    accuracy after which the run stops.  Its default equals the default
-    `max_iterations` (10) and the first iteration always sets a peak, so
-    early stopping never fires by default; set `patience` below
+    `patience` (at least 1) is the number of iterations without a new peak
+    validation accuracy after which the run stops.  Its default equals the
+    default `max_iterations` (10) and the first iteration always sets a
+    peak, so early stopping never fires by default; set `patience` below
     `max_iterations` to use it.
     """
 
@@ -87,6 +87,10 @@ class TrainConfig:
             raise InvalidInputError("arrm mode requires epsilon_train > 0; erm/rrm require 0")
         if self.epochs_per_iteration < 1 or self.batch_size < 1 or self.max_iterations < 1:
             raise InvalidInputError("epochs, batch size, and iterations must be >= 1")
+        if self.patience < 1:
+            raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate > 0:
             raise InvalidInputError(f"learning rate must be positive, got {self.learning_rate}")
 
@@ -184,6 +188,8 @@ def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShif
     model is left untouched.
     """
     n = dataset.n
+    if n == 0:
+        raise InvalidInputError("the training set holds no samples")
     if u.n != n:
         raise InvalidInputError(f"shift vector length {u.n} != dataset size {n}")
     weights = u.weights()

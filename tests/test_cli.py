@@ -393,6 +393,44 @@ class TestTrain:
         assert "--workers" in capsys.readouterr().err
         assert not (caches / "runs").exists()
 
+    @pytest.mark.parametrize("seeds,flag", [([0, -1], []), ([0, 1], ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_rejected_before_any_seed(self, caches, capsys, seeds, flag):
+        doc = train_config(caches)
+        doc["seeds"] = seeds
+        cfg = write_json(caches / "train.json", doc)
+        assert main(["train", "--config", cfg, *flag]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.seeds: must be non-empty, distinct and >= 0")
+        assert "Traceback" not in err
+        assert not (caches / "runs").exists()
+
+    @pytest.mark.parametrize("patience", [0, -2])
+    def test_patience_below_one_rejected(self, caches, capsys, patience):
+        doc = train_config(caches)
+        doc["train"]["patience"] = patience
+        assert main(["train", "--config", write_json(caches / "train.json", doc)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"config error: config.train: patience must be >= 1, got {patience}\n")
+        assert not (caches / "runs").exists()
+
+    def test_empty_training_split_fails_each_seed_with_its_cause(self, tmp_path, capsys):
+        doc = inject_config(tmp_path, samples_per_class=1)  # 3 samples
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_OK
+        doc = inject_config(tmp_path, out="test_cache.npz")
+        assert main(["inject", "--config", write_json(tmp_path / "t.json", doc)]) == EXIT_OK
+        doc = train_config(tmp_path)
+        doc["validation_fraction"] = 0.9  # rounds the training part of 3 samples to 0
+        capsys.readouterr()
+        assert main(["train", "--config", write_json(tmp_path / "train.json", doc)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert f"seed {seed} failed: InvalidInputError: the training set holds no samples" in err
+        assert "ZeroDivisionError" not in err
+        agg = json.loads((tmp_path / "runs" / "rrm" / "aggregate.json").read_text())
+        assert agg["failed_seeds"] == [0, 1]
+        assert {f["message"] for f in agg["failures"]} == {"the training set holds no samples"}
+
     def test_missing_cache_io_error(self, tmp_path):
         doc = train_config(tmp_path)
         cfg = write_json(tmp_path / "train.json", doc)
@@ -693,7 +731,8 @@ class TestReport:
         assert "missing artifacts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["not-json", "no-mode", "json-array",
-                                       "record-without-a-hist-column", "no-record"])
+                                       "record-without-a-hist-column", "no-record",
+                                       "truncated-record-row", "record-row-with-an-extra-cell"])
     def test_malformed_aggregate_io_error(self, tmp_path, capsys, fault):
         run = tmp_path / "run"
         write_run(run, ERM_AGGREGATE, seeds=[0])
@@ -711,8 +750,14 @@ class TestReport:
             else:
                 with open(path, newline="") as f:
                     rows = list(csv.reader(f))
+                if fault == "record-without-a-hist-column":
+                    rows = [row[:-1] for row in rows]
+                elif fault == "truncated-record-row":  # as a run killed while writing leaves it
+                    rows[-1] = rows[-1][:15]
+                else:
+                    rows[1].append("7")
                 with open(path, "w", newline="") as f:
-                    csv.writer(f).writerows(row[:-1] for row in rows)
+                    csv.writer(f).writerows(rows)
         out = tmp_path / "report"
         assert main(["report", str(run), "--output-dir", str(out)]) == EXIT_IO
         err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from rockrelax.data import (
     write_idx,
 )
 from rockrelax.errors import FormatError, InvalidInputError
+from rockrelax.models import _check_labels
 
 
 def toy_dataset(rng, n=60, k=3, dim=5, rate=0.0, seed=0):
@@ -298,6 +299,73 @@ class TestKernel:
         rows = np.array([[0.0, 0.5002, 0.4999], [0.3333, 0.0, 0.6666], [0.5, 0.5, 0.0]])
         kernel = ContaminationKernel.from_rows(rows)
         np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _num_contaminated_oracle(rate, n):
+    if not 0 <= rate <= 1:
+        raise InvalidInputError(f"contamination rate must lie in [0, 1], got {rate}")
+    return int(np.floor(rate * n + 0.5))
+
+
+def inject_ncar_oracle(labels, rate, num_classes, seed):
+    """The former inject_ncar, which restated the flip choice, kept as an exact oracle."""
+    labels = np.asarray(labels)
+    _check_labels(labels, num_classes, labels.size)
+    labels = labels.astype(np.int64, copy=False)
+    n = labels.size
+    m = _num_contaminated_oracle(rate, n)
+    if m > 0 and num_classes < 2:
+        raise InvalidInputError("need at least 2 classes to contaminate labels")
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(n, size=m, replace=False))
+    observed = labels.copy()
+    offsets = rng.integers(1, num_classes, size=m)
+    observed[chosen] = (labels[chosen] + offsets) % num_classes
+    return observed, chosen
+
+
+def inject_kernel_oracle(labels, rate, kernel, seed):
+    """The former inject_kernel, which restated the flip choice, kept as an exact oracle."""
+    labels = np.asarray(labels)
+    _check_labels(labels, kernel.num_classes, labels.size)
+    labels = labels.astype(np.int64, copy=False)
+    n = labels.size
+    m = _num_contaminated_oracle(rate, n)
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(n, size=m, replace=False))
+    observed = labels.copy()
+    for i in chosen:
+        observed[i] = rng.choice(kernel.num_classes, p=kernel.matrix[labels[i]])
+    return observed, chosen
+
+
+class TestInjectorsEqualReference:
+    SEEDS = range(8)
+    RATES = (0.0, 0.2, 0.25, 0.5, 0.6, 1.0)
+
+    @staticmethod
+    def assert_same(got, expected):
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_ncar(self, k, dtype):
+        for seed in self.SEEDS:
+            labels = np.random.default_rng(seed).integers(0, k, size=101).astype(dtype)
+            for rate in self.RATES:
+                self.assert_same(inject_ncar(labels, rate, k, seed),
+                                 inject_ncar_oracle(labels, rate, k, seed))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_bundled_kernel(self, dtype):
+        kernel = ContaminationKernel.from_file(mnist_kernel_path())
+        for seed in self.SEEDS:
+            labels = np.random.default_rng(seed).integers(0, 10, size=101).astype(dtype)
+            for rate in self.RATES:
+                self.assert_same(inject_kernel(labels, rate, kernel, seed),
+                                 inject_kernel_oracle(labels, rate, kernel, seed))
 
 
 class TestBlobsAndSplit:

@@ -96,6 +96,9 @@ class TestConfig:
         ("rrm", {"max_iterations": 0}, "epochs, batch size, and iterations must be >= 1"),
         ("rrm", {"learning_rate": 0.0}, "learning rate must be positive, got 0.0"),
         ("rrm", {"learning_rate": float("nan")}, "learning rate must be positive, got nan"),
+        ("rrm", {"patience": 0}, "patience must be >= 1, got 0"),
+        ("rrm", {"patience": -2}, "patience must be >= 1, got -2"),
+        ("rrm", {"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_value_out_of_range_rejected(self, mode, kw, message):
         with pytest.raises(InvalidInputError, match=message):
@@ -197,6 +200,13 @@ class TestGradientStep:
         with pytest.raises(InvalidInputError):
             gradient_step(init_params(ARCH, 1), train, WeightShift(u), config(),
                           np.random.default_rng(1))
+
+    def test_empty_dataset_rejected(self):
+        empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
+                                    np.zeros(0, dtype=int), np.empty(0, dtype=int), 3)
+        with pytest.raises(InvalidInputError, match="the training set holds no samples"):
+            gradient_step(trainer.init_params(ARCH, 0), empty, WeightShift.zero(0), config(),
+                          np.random.default_rng(0))
 
 
 class TestPrunedMetrics:
@@ -436,6 +446,13 @@ class TestRun:
         assert len(rec.iterations) == 3
         assert rec.test_at_peak_validation == rec.iterations[-1].test_accuracy
         assert np.isnan(rec.peak_validation_accuracy)
+
+    def test_empty_training_set_rejected(self):
+        _, val, test = blob_splits(18)
+        empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
+                                    np.zeros(0, dtype=int), np.empty(0, dtype=int), 3)
+        with pytest.raises(InvalidInputError, match="the training set holds no samples"):
+            run(empty, val, test, config(), ARCH)
 
     @pytest.mark.parametrize("which", ["train", "validation", "test"])
     @pytest.mark.parametrize("fault", ["observed", "clean", "width"])
