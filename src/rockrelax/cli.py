@@ -168,10 +168,12 @@ def cmd_inject(args) -> int:
     mode = cont.get("mode", "none")
     if mode not in ("ncar", "kernel", "none"):
         raise SchemaError(f"config.contamination.mode: expected ncar|kernel|none, got {mode!r}")
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if seed < 0:
+        raise SchemaError(f"config.seed: must be >= 0, got {seed}")
     if mode == "kernel":
         # a fault in the kernel file is the file's, not the config's
         kernel = ContaminationKernel.from_file(_require(cont, "kernel_path", "config.contamination"))
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     # "none" is NCAR at rate 0, and the rate recorded is the 0 applied
     rate = 0.0 if mode == "none" else cont.get("rate", 0.0)
     with _config_values("config.source"):
@@ -267,6 +269,9 @@ def cmd_train(args) -> int:
     if not 0 <= val_frac < 1:
         raise SchemaError(f"config.validation_fraction: must lie in [0, 1), got {val_frac}")
     train_ds, _ = load_cache(doc["train_cache"])
+    if np.rint((1.0 - val_frac) * train_ds.n) < 1:  # split's rounding, the same for every seed
+        raise SchemaError(f"config.validation_fraction: {val_frac} leaves no training sample "
+                          f"of the {train_ds.n} in config.train_cache")
     test_ds, _ = load_cache(doc["test_cache"])
     for key, ds in (("train_cache", train_ds), ("test_cache", test_ds)):
         try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +136,19 @@ def _check_features(architecture: Architecture, x: np.ndarray) -> None:
 
 
 def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
-    """One integer label in [0, k) per row; a single label never broadcasts."""
+    """One integer label in [0, k) per row; a single label never broadcasts.
+
+    The range is tested in one reduction: cast to uint64, a negative label
+    of any width wraps to at least 2**63, past every k, and every label
+    in [0, k) keeps its value, whatever its width, signedness or byte
+    order.  min() and max() run only to word the error.
+    """
     if labels.dtype.kind not in "iu":
         raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (rows,):
         raise InvalidInputError(f"expected {rows} labels, got an array of shape {labels.shape}")
-    # size first: min() of an empty array raises ValueError
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    # size first: max() of an empty array raises ValueError
+    if labels.size and labels.astype(np.uint64).max() >= k:
         raise InvalidInputError(f"labels in [{labels.min()}, {labels.max()}], "
                                 f"which do not fit {k} classes [0, {k})")
 
@@ -149,11 +156,13 @@ def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
 def _all_finite(a: np.ndarray) -> bool:
     """Exact all-finite test of a flat array.
 
-    A finite sum of squares rules out inf and nan in one BLAS pass; only
-    when it is not finite (a non-finite entry, or a sum beyond the float64
-    range) are the entries tested one by one.
+    A finite sum of squares rules out inf and nan in one BLAS pass: an inf
+    or nan entry makes its square, and so the sum, inf or nan.  The sum is
+    a float64 scalar, so `math.isfinite` tests it without a ufunc call.
+    Only when it is not finite (a non-finite entry, or a sum beyond the
+    float64 range) are the entries tested one by one.
     """
-    return bool(np.isfinite(a @ a)) or bool(np.all(np.isfinite(a)))
+    return math.isfinite(a @ a) or bool(np.all(np.isfinite(a)))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -182,9 +191,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _label_index(labels: np.ndarray, k: int) -> np.ndarray:
     """Flat index of each row's label entry in a C-order (n, k) array."""
-    at = labels.astype(np.intp)  # intp first, since int64 + uint64 promotes to float64
-    at += np.arange(0, at.size * k, k)
-    return at
+    # added as intp, since int64 + uint64 would promote to float64
+    return np.add(labels, np.arange(0, labels.size * k, k), dtype=np.intp)
 
 
 def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
@@ -302,11 +310,25 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
 
 def _checked_batch(model: ModelState, x, y) -> tuple[np.ndarray, np.ndarray]:
     """`x` as a 2-d float batch and `y` as its labels, both checked against the model."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.atleast_1d(np.asarray(y))
+    # the rank rules of np.atleast_2d and np.atleast_1d, with no call for a batch that has its rank
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
+    labels = np.asarray(y)
+    if labels.ndim == 0:
+        labels = labels.reshape(1)
     _check_features(model.architecture, x)
     _check_labels(labels, model.architecture.num_classes, x.shape[0])
     return x, labels
+
+
+def _input_gradient(model: ModelState, x: np.ndarray, labels: np.ndarray, y,
+                    kind: LossKind) -> np.ndarray:
+    """`grad_input` of a batch that `_checked_batch` has already converted and checked."""
+    gx = _backprop(model.matrices(), x, labels, kind)
+    if not _all_finite(gx.ravel()):
+        raise NumericError("non-finite input gradient")
+    return gx[0] if gx.shape[0] == 1 and np.ndim(y) == 0 else gx
 
 
 def grad_input(model: ModelState, x: np.ndarray, y, kind: LossKind) -> np.ndarray:
@@ -315,11 +337,7 @@ def grad_input(model: ModelState, x: np.ndarray, y, kind: LossKind) -> np.ndarra
     `x` is one 1-d sample with an integer label `y` (the gradient is then
     1-d too), or a 2-d batch with one label per row.
     """
-    x, labels = _checked_batch(model, x, y)
-    gx = _backprop(model.matrices(), x, labels, kind)
-    if not _all_finite(gx.ravel()):
-        raise NumericError("non-finite input gradient")
-    return gx[0] if gx.shape[0] == 1 and np.ndim(y) == 0 else gx
+    return _input_gradient(model, *_checked_batch(model, x, y), y, kind)
 
 
 def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: LossKind) -> np.ndarray:
@@ -331,10 +349,10 @@ def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: Loss
     if not 0 <= epsilon <= 1:
         raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
     x = np.asarray(x, dtype=float)
+    batch, labels = _checked_batch(model, x, y)  # even the identity takes only valid input
     if epsilon == 0:
-        _checked_batch(model, x, y)  # the identity still takes only valid input
         return x.copy()
-    step = grad_input(model, x, y, kind)  # a fresh array, so it is reused in place
+    step = _input_gradient(model, batch, labels, y, kind)  # a fresh array, reused in place
     np.sign(step, out=step)
     step *= epsilon
     step += x

@@ -185,6 +185,23 @@ class TestInject:
         assert err == f"i/o error: {images}: holds no samples\n"
         assert not (tmp_path / "train_cache.npz").exists()
 
+    @pytest.mark.parametrize("source", ["blobs", "idx"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["key", "flag"])
+    def test_negative_seed_rejected_before_the_source_loads(self, tmp_path, capsys, source,
+                                                             flag):
+        doc = inject_config(tmp_path)
+        if source == "idx":
+            write_idx(tmp_path / "images.idx", tmp_path / "labels.idx", np.zeros((6, 4)),
+                      np.array([0, 1, 2, 0, 1, 2]), rows=2, cols=2)
+            doc["source"] = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                             "labels": str(tmp_path / "labels.idx")}
+        args = ["--seed", "-1"] if flag else []
+        doc["seed"] = 0 if flag else -1
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc), *args]) \
+            == EXIT_SCHEMA
+        assert capsys.readouterr().err == "config error: config.seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "train_cache.npz").exists()
+
     def test_mode_none_records_the_applied_rate(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "i.json", inject_config(tmp_path, rate=0.4, mode="none"))
         assert main(["inject", "--config", cfg]) == EXIT_OK
@@ -414,22 +431,30 @@ class TestTrain:
             f"config error: config.train: patience must be >= 1, got {patience}\n")
         assert not (caches / "runs").exists()
 
-    def test_empty_training_split_fails_each_seed_with_its_cause(self, tmp_path, capsys):
-        doc = inject_config(tmp_path, samples_per_class=1)  # 3 samples
+    @staticmethod
+    def three_sample_run(tmp_path, validation_fraction):
+        """`train` on a 3-sample train cache; returns its exit code."""
+        doc = inject_config(tmp_path, samples_per_class=1)
         assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_OK
         doc = inject_config(tmp_path, out="test_cache.npz")
         assert main(["inject", "--config", write_json(tmp_path / "t.json", doc)]) == EXIT_OK
         doc = train_config(tmp_path)
-        doc["validation_fraction"] = 0.9  # rounds the training part of 3 samples to 0
-        capsys.readouterr()
-        assert main(["train", "--config", write_json(tmp_path / "train.json", doc)]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        for seed in (0, 1):
-            assert f"seed {seed} failed: InvalidInputError: the training set holds no samples" in err
-        assert "ZeroDivisionError" not in err
+        doc["validation_fraction"] = validation_fraction
+        return main(["train", "--config", write_json(tmp_path / "train.json", doc)])
+
+    def test_empty_training_split_rejected_before_any_seed(self, tmp_path, capsys):
+        # 0.1 of 3 samples rounds the training part to 0
+        assert self.three_sample_run(tmp_path, 0.9) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            "config error: config.validation_fraction: 0.9 leaves no training sample "
+            "of the 3 in config.train_cache\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_one_training_sample_is_enough(self, tmp_path):
+        # 0.2 of 3 samples rounds the training part to 1
+        assert self.three_sample_run(tmp_path, 0.8) == EXIT_OK
         agg = json.loads((tmp_path / "runs" / "rrm" / "aggregate.json").read_text())
-        assert agg["failed_seeds"] == [0, 1]
-        assert {f["message"] for f in agg["failures"]} == {"the training set holds no samples"}
+        assert agg["seeds"] == [0, 1] and agg["failed_seeds"] == []
 
     def test_missing_cache_io_error(self, tmp_path):
         doc = train_config(tmp_path)

@@ -10,6 +10,8 @@ from rockrelax.models import (
     LossKind,
     ModelState,
     _all_finite,
+    _check_labels,
+    _label_index,
     fgsm_perturb,
     forward,
     grad_input,
@@ -569,6 +571,72 @@ class TestEdgeValidation:
                 call()
 
 
+def two_reduction_check(labels, k, rows):
+    """The label rule as it stood with a separate min() and max() test."""
+    if labels.dtype.kind not in "iu":
+        raise InvalidInputError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (rows,):
+        raise InvalidInputError(f"expected {rows} labels, got an array of shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise InvalidInputError(f"labels in [{labels.min()}, {labels.max()}], "
+                                f"which do not fit {k} classes [0, {k})")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+# every integer width, signed and unsigned, in both byte orders
+LABEL_DTYPES = ["i1", "u1", "<i2", ">i2", "<u2", ">u2", "<i4", ">i4", "<u4", ">u4",
+                "<i8", ">i8", "<u8", ">u8"]
+
+
+class TestOneReductionLabelRule:
+    """`_check_labels` tests the range in one uint64 reduction; it must decide and word
+    every case as a separate min() and max() test does."""
+
+    @pytest.mark.parametrize("dtype", LABEL_DTYPES)
+    def test_decisions_and_messages_equal_the_two_reduction_rule(self, dtype):
+        dtype = np.dtype(dtype)
+        info = np.iinfo(dtype)
+        cases = [[0, 1, 2], [2, 2, 2], [0], [], [3], [0, 3, 1], [info.max], [0, info.max]]
+        if dtype.kind == "i":
+            cases += [[-1], [0, -1, 2], [info.min], [info.min, info.max], [-1, 3]]
+        for values in cases:
+            labels = np.array(values, dtype=dtype)
+            for k in (1, 3, 200):
+                want = outcome(two_reduction_check, labels, k, labels.size)
+                assert outcome(_check_labels, labels, k, labels.size) == want, (values, k)
+
+    def test_negative_int8_label_is_rejected_with_its_value(self):
+        labels = np.array([0, -1, 2], dtype=np.int8)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "labels in [-1, 2], which do not fit 3 classes [0, 3)")):
+            _check_labels(labels, 3, 3)
+
+    @pytest.mark.parametrize("dtype", LABEL_DTYPES)
+    def test_label_index_equals_intp_labels_plus_offsets(self, dtype):
+        labels = np.array([0, 2, 1, 1, 0, 2], dtype=dtype)
+        at = _label_index(labels, 3)
+        assert at.dtype == np.intp
+        np.testing.assert_array_equal(at, labels.astype(np.intp) + np.arange(0, 18, 3))
+
+    @pytest.mark.parametrize("dtype", [">i8", ">u4", ">i2", "<i2", "u8", "i1"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_param_grad_of_any_label_dtype_is_bit_identical(self, kind, dtype):
+        rng = np.random.default_rng(35)
+        model = small_model(rng)  # 3 classes
+        x, w = rng.uniform(size=(6, 4)), rng.uniform(size=6)
+        y = np.array([0, 1, 2, 2, 1, 0])
+        want = grad_params_weighted(model, x, y, w, kind)
+        got = grad_params_weighted(model, x, y.astype(dtype), w, kind)
+        assert got.tobytes() == want.tobytes()
+
+
 def overflowing_model_and_batch(nb=3):
     """All-ones linear model on features of 1e308: every logit overflows to inf."""
     arch = Architecture((4, 3))
@@ -625,6 +693,26 @@ class TestFgsm:
         model = ModelState(arch, theta)
         x = np.array([0.5, 0.5, 0.5])
         np.testing.assert_array_equal(fgsm_perturb(model, x, 0, 0.2, LossKind.CCE), x)
+
+    @pytest.mark.parametrize("x_shape,y,want", [
+        ((4,), 1, (4,)),
+        ((4,), np.array([1]), (1, 4)),  # a label array keeps the batch axis
+        ((5, 4), np.array([0, 1, 2, 0, 1]), (5, 4)),
+    ], ids=["1d-scalar-label", "1d-one-label-array", "2d-batch"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_output_shape_and_values(self, x_shape, y, want, eps):
+        rng = np.random.default_rng(36)
+        model = small_model(rng)
+        x = rng.uniform(size=x_shape)
+        xp = fgsm_perturb(model, x, y, eps, LossKind.CCE)
+        if eps == 0:
+            # the identity keeps the shape of x
+            assert xp.shape == x_shape and xp is not x
+            np.testing.assert_array_equal(xp, x)
+            return
+        assert xp.shape == want
+        step = np.sign(grad_input(model, x, y, LossKind.CCE)) * eps
+        assert xp.tobytes() == (step + x).tobytes()
 
 
 class TestArchitecture:
