@@ -16,7 +16,10 @@ so each step runs over k long contiguous rows and writes a fresh C-order
 of the logits, and the softmax runs in place.  The class sum keeps each
 layout's order.  Class by class equals numpy's row sum only below 8 columns
 (numpy sums wider rows pairwise), so wider outputs never take the copy and
-every result stays bit-exact.
+every result stays bit-exact.  The full-set loss pass (`_losses`) shares the
+softmax's matmuls, copy, maximum, exp and class total; for CCE it then
+divides only each row's label entry by its total, so it forms no (n, k)
+probability matrix.
 """
 
 from __future__ import annotations
@@ -165,6 +168,32 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a @ a) or bool(np.all(np.isfinite(a)))
 
 
+def _logits(mats, x: np.ndarray) -> np.ndarray:
+    """(k, n) logits of an unchecked full set: a C-order class-major copy for
+    k <= CLASS_MAJOR_MAX_K, else the transposed view of C-order (n, k) logits."""
+    h = x
+    for w in mats[:-1]:
+        h = h @ w
+        np.maximum(h, 0.0, out=h)
+    z = (h @ mats[-1]).T
+    if z.shape[0] <= CLASS_MAJOR_MAX_K:
+        # rebinding frees the row-major logits before the exp
+        z = np.ascontiguousarray(z)
+    return z
+
+
+def _exp_shifted(z: np.ndarray) -> np.ndarray:
+    """Overwrite a (k, n) array of logits with exp(z - column maximum) and
+    return the column totals, summed in the layout's order: class by class
+    on a class-major copy, numpy's row sum on the transposed view."""
+    top = z[0].copy()
+    for j in range(1, len(z)):  # indexing rows is cheaper than iterating a slice
+        np.maximum(top, z[j], out=top)
+    z -= top
+    np.exp(z, out=z)
+    return z.sum(axis=0)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over each column of a (k, n) array of logits, as a C-order
     (n, k) array; `z` is overwritten.
@@ -173,14 +202,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     fresh (n, k) array, or the transposed view of C-order (n, k) logits,
     which are divided in place and returned.
     """
-    top = z[0].copy()
-    for j in range(1, len(z)):  # indexing rows is cheaper than iterating a slice
-        np.maximum(top, z[j], out=top)
-    z -= top
-    np.exp(z, out=z)
-    # adds in the layout's order: class by class on the copy, numpy's row
-    # sum on the view
-    total = z.sum(axis=0)
+    total = _exp_shifted(z)
     if z.flags.f_contiguous:
         z /= total
         return z.T
@@ -199,28 +221,20 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
     """Unchecked forward and backward pass; the public functions validate first.
 
     `mats` are the weight matrices, `x` a float64 (n, input_dim) batch and
-    `labels` one integer in [0, k) per row.
-    With `labels` None the softmax probabilities are returned.  Otherwise
-    the chain backpropagates sum_i scale_i * J_i (scale 1 when None): with
-    `grad_views`, one array per weight matrix and of its shape, each
-    layer's parameter gradient is written into its view, the chain stops
-    at the first layer and None is returned; without, no parameter
-    gradient is formed and the input gradient is returned.
+    `labels` one integer in [0, k) per row.  The chain backpropagates
+    sum_i scale_i * J_i (scale 1 when None): with `grad_views`, one array
+    per weight matrix and of its shape, each layer's parameter gradient is
+    written into its view, the chain stops at the first layer and None is
+    returned; without, no parameter gradient is formed and the input
+    gradient is returned.
     """
     acts = [x]
     h = x
     for w in mats[:-1]:
         h = h @ w
         np.maximum(h, 0.0, out=h)
-        if labels is not None:
-            acts.append(h)
-    z = (h @ mats[-1]).T
-    if labels is None and z.shape[0] <= CLASS_MAJOR_MAX_K:
-        # rebinding frees the row-major logits before the exp
-        z = np.ascontiguousarray(z)
-    probs = _softmax(z)
-    if labels is None:
-        return probs
+        acts.append(h)
+    probs = _softmax((h @ mats[-1]).T)
     at_label = _label_index(labels, probs.shape[1])
     # dJ/dlogits from the residual probs - onehot(labels)
     if kind is LossKind.CCE:
@@ -255,7 +269,7 @@ def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Class-probability matrix (rows sum to 1), a fresh C-order (n, k) array."""
     features = np.asarray(features, dtype=float)
     _check_features(model.architecture, features)
-    return _backprop(model.matrices(), features, None, None)
+    return _softmax(_logits(model.matrices(), features))
 
 
 def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
@@ -264,7 +278,12 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     labels = np.asarray(labels)
     n, k = probs.shape
     _check_labels(labels, k, n)
-    at_label = _label_index(labels, k)
+    return _probs_loss(probs, labels, kind)
+
+
+def _probs_loss(probs: np.ndarray, labels: np.ndarray, kind: LossKind) -> np.ndarray:
+    """`loss_per_sample` of labels that `_check_labels` has already passed."""
+    at_label = _label_index(labels, probs.shape[1])
     if kind is LossKind.CCE:
         return -np.log(np.maximum(probs.ravel()[at_label], CCE_CLAMP))
     r = probs.copy()  # the caller's array is left as it is
@@ -274,6 +293,35 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     if kind is LossKind.MSE:
         return (r ** 2).sum(axis=1)
     raise InvalidInputError(f"unknown loss kind {kind!r}")
+
+
+def _losses(model: ModelState, features, labels, kind: LossKind) -> np.ndarray:
+    """`loss_per_sample(forward(model, features), labels, kind)`, bit for bit,
+    with each input checked once and in that order.
+
+    CCE over a class-major copy (k <= CLASS_MAJOR_MAX_K) divides only each
+    row's label entry by its total, so no (n, k) probability matrix or
+    (n, k) label index is formed; other losses and wider outputs go through
+    the probability matrix.
+    """
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    arch = model.architecture
+    _check_features(arch, features)
+    n = features.shape[0]
+    _check_labels(labels, arch.num_classes, n)
+    z = _logits(model.matrices(), features)
+    if kind is not LossKind.CCE or z.shape[0] > CLASS_MAJOR_MAX_K:
+        return _probs_loss(_softmax(z), labels, kind)
+    total = _exp_shifted(z)
+    # flat index of each row's label entry in the (k, n) copy, as intp like _label_index
+    index = np.multiply(labels, n, dtype=np.intp)
+    index += np.arange(n)
+    p = z.ravel().take(index)  # a fresh vector, worked on in place
+    p /= total
+    np.maximum(p, CCE_CLAMP, out=p)
+    np.log(p, out=p)
+    return np.negative(p, out=p)
 
 
 def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
@@ -353,6 +401,8 @@ def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: Loss
     if epsilon == 0:
         return x.copy()
     step = _input_gradient(model, batch, labels, y, kind)  # a fresh array, reused in place
+    if step.ndim < x.ndim:  # a (1, d) batch with a scalar label keeps its batch axis
+        step = step.reshape(x.shape)
     np.sign(step, out=step)
     step *= epsilon
     step += x

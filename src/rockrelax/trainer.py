@@ -21,6 +21,7 @@ from rockrelax.models import (
     ModelState,
     _check_features,
     _check_labels,
+    _losses,
     fgsm_perturb,
     forward,
     grad_params_weighted,
@@ -221,13 +222,15 @@ def reweight_step(model: ModelState, dataset: ContaminatedDataset, u_prev: Weigh
     """Recompute u from full-training-set losses (unperturbed, eval mode).
 
     `losses` are the per-sample losses of `model` on `dataset` when the
-    caller has them already; when None they are computed here.  A loss
+    caller has them already.  When None, they are computed here in one
+    pass: `loss_per_sample(forward(model, features), observed_labels,
+    loss_kind)` bit for bit, with the same input checks, but for CCE over at
+    most `CLASS_MAJOR_MAX_K` classes without the probability matrix.  A loss
     vector whose length differs from u_prev's is rejected by the blend.
     """
     c = losses
     if c is None:
-        c = loss_per_sample(forward(model, dataset.features), dataset.observed_labels,
-                            config.loss_kind)
+        c = _losses(model, dataset.features, dataset.observed_labels, config.loss_kind)
     rw = config.reweight
     if rw.contamination_estimate is not None:
         gamma, mu = auto_tune_gamma(c, rw.contamination_estimate), 1.0

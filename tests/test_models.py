@@ -12,6 +12,7 @@ from rockrelax.models import (
     _all_finite,
     _check_labels,
     _label_index,
+    _losses,
     fgsm_perturb,
     forward,
     grad_input,
@@ -442,6 +443,63 @@ class TestClassMajorPasses:
             assert np.array_equal(loss_per_sample(a, y, kind), want[kind])
 
 
+def logit_case(case, k, rng):
+    """(model, features) whose logits are random, tied, far apart or overflowing."""
+    if case == "overflowing":
+        arch = Architecture((3, k))
+        model = ModelState(arch, rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=arch.num_params))
+        return model, rng.choice([-1e308, 1e308, 0.0, 1.0], size=(LARGE_ROWS, 3))
+    model = small_model(rng, (6, 9, k))
+    x = rng.uniform(-3.0, 3.0, size=(LARGE_ROWS, 6))
+    if case == "tied":
+        last = model.matrices()[-1]
+        last[:, 1::2] = last[:, 0:k - 1:2]
+        x[::5] = 0.0
+    elif case == "clamped":
+        model.matrices()[-1][:] *= 40.0  # most label probabilities fall below CCE_CLAMP
+    return model, x
+
+
+class TestLossPass:
+    """`_losses` equals loss_per_sample(forward(...)) for every loss, width and label dtype."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", ["i1", "u8", ">i8"])
+    @pytest.mark.parametrize("case", ["random", "tied", "clamped", "overflowing"])
+    @pytest.mark.parametrize("k", ALL_K)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_equals_loss_of_forward(self, kind, k, case, dtype):
+        rng = np.random.default_rng(90 + k)
+        model, x = logit_case(case, k, rng)
+        y = rng.integers(0, k, size=LARGE_ROWS).astype(dtype)
+        want = loss_per_sample(forward(model, x), y, kind)
+        got = _losses(model, x, y, kind)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        if case == "clamped" and kind is LossKind.CCE and k > 1:
+            assert np.count_nonzero(want == -np.log(1e-12)) > LARGE_ROWS // 10
+        if case == "overflowing":
+            assert np.isnan(want).any() and np.isfinite(want).any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_rows(self, kind):
+        model = small_model(np.random.default_rng(91), (4, 5, 3))
+        got = _losses(model, np.zeros((0, 4)), np.zeros(0, dtype=int), kind)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_inputs_checked_in_the_order_of_the_two_calls(self, kind):
+        rng = np.random.default_rng(92)
+        model = small_model(rng)  # 4 inputs, 3 classes
+        x, y = rng.uniform(size=(5, 4)), np.array([0, 1, 2, 3, 1])
+        for args in ((x[:, :3], y), (x[:, :3], y[:2]), (x, y), (x, y[:2]),
+                     (x, y.astype(float)), (x[0], y)):
+            want = outcome(lambda: loss_per_sample(forward(model, args[0]), args[1], kind))
+            assert want is not None
+            assert outcome(lambda: _losses(model, *args, kind)) == want
+
+
 def read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -697,8 +755,9 @@ class TestFgsm:
     @pytest.mark.parametrize("x_shape,y,want", [
         ((4,), 1, (4,)),
         ((4,), np.array([1]), (1, 4)),  # a label array keeps the batch axis
+        ((1, 4), 1, (1, 4)),  # one row keeps its batch axis at every epsilon
         ((5, 4), np.array([0, 1, 2, 0, 1]), (5, 4)),
-    ], ids=["1d-scalar-label", "1d-one-label-array", "2d-batch"])
+    ], ids=["1d-scalar-label", "1d-one-label-array", "2d-one-row-scalar-label", "2d-batch"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_output_shape_and_values(self, x_shape, y, want, eps):
         rng = np.random.default_rng(36)

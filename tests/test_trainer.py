@@ -41,6 +41,22 @@ def blob_splits(seed, rate=0.2, **kw):
 ARCH = Architecture((6, 16, 3))
 
 
+def k_class_blobs(k, seed):
+    """150 six-dim samples per class; 30% of the labels flipped when k > 1."""
+    ds = make_synthetic_blobs(k, 150, 6, 8.0, seed=seed)
+    if k == 1:
+        return ds
+    observed, chosen = inject_ncar(ds.clean_labels, 0.3, k, seed=seed + 1000)
+    return ContaminatedDataset(ds.features, observed, ds.clean_labels, chosen, k)
+
+
+def raised(call):
+    """The message of the InvalidInputError that `call` raises."""
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    return str(info.value)
+
+
 def config(mode="rrm", **kw):
     base = dict(mode=mode, loss_kind=LossKind.CCE, epochs_per_iteration=2,
                 batch_size=16, learning_rate=0.1,
@@ -256,24 +272,69 @@ class TestReweightStep:
         u_star = solve_reweight(c, cfg.reweight.gamma)
         np.testing.assert_allclose(u_next.shifts, 0.5 * u_star.shifts, atol=1e-15)
 
+    @pytest.mark.parametrize("widths", [(6, 3), (6, 9, 3), (6, 1), (6, 7), (6, 8)],
+                             ids=["6-3", "6-9-3", "k1", "k7", "k8"])
+    @pytest.mark.parametrize("kind", list(LossKind))
     @pytest.mark.parametrize("reweight", [ReweightConfig(gamma=0.3, mu=0.5),
                                           ReweightConfig(contamination_estimate=0.25)])
-    def test_given_losses_match_recomputed(self, reweight):
-        train, _, _ = blob_splits(6, rate=0.3)
+    def test_given_losses_match_recomputed(self, reweight, kind, widths):
+        # losses=None takes the one-pass route (class-major CCE up to 7 classes),
+        # given losses come from forward and loss_per_sample
+        k = widths[-1]
+        train = k_class_blobs(k, seed=6)
         from rockrelax.models import init_params
-        model = init_params(ARCH, 6)
-        cfg = config(reweight=reweight)
+        model = init_params(Architecture(widths), 6)
+        cfg = config(loss_kind=kind, reweight=reweight)
         rng = np.random.default_rng(6)
         u_prev = WeightShift(rng.dirichlet(np.ones(train.n)) - 1.0 / train.n)
         c = loss_per_sample(forward(model, train.features), train.observed_labels, cfg.loss_kind)
         u_a, part_a = reweight_step(model, train, u_prev, cfg)
         u_b, part_b = reweight_step(model, train, u_prev, cfg, losses=c)
-        assert np.array_equal(u_a.shifts, u_b.shifts)
+        assert u_a.shifts.tobytes() == u_b.shifts.tobytes()
         assert (part_a.c_min, part_a.gamma) == (part_b.c_min, part_b.gamma)
         assert part_a.n == part_b.n == train.n
         for name in ("i_min", "chi"):
             assert np.array_equal(getattr(part_a, name), getattr(part_b, name))
-        assert part_a.chi.size > 0
+        # one class gives every sample the same loss, and nothing to prune
+        assert (part_a.chi.size > 0) == (k > 1)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_label_beyond_outputs_rejected_with_the_loss_message(self, kind):
+        # a 4-class set against 3 outputs: the label check, not the flat gather, stops it
+        train = k_class_blobs(4, seed=7)
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, 3)), 7)
+        want = raised(lambda: loss_per_sample(forward(model, train.features),
+                                              train.observed_labels, kind))
+        assert want == "labels in [0, 3], which do not fit 3 classes [0, 3)"
+        got = raised(lambda: reweight_step(model, train, WeightShift.zero(train.n),
+                                           config(loss_kind=kind)))
+        assert got == want
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_wrong_feature_width_rejected_with_the_forward_message(self, kind):
+        train = k_class_blobs(3, seed=8)  # 6-dim features
+        from rockrelax.models import init_params
+        model = init_params(Architecture((5, 3)), 8)
+        want = raised(lambda: forward(model, train.features))
+        assert want == "6-dim features, but the architecture takes 5"
+        got = raised(lambda: reweight_step(model, train, WeightShift.zero(train.n),
+                                           config(loss_kind=kind)))
+        assert got == want
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("reweight", [ReweightConfig(gamma=0.3, mu=0.5),
+                                          ReweightConfig(contamination_estimate=0.25)])
+    def test_overflowing_logits_end_in_the_loss_vector_error(self, reweight, kind):
+        ds = k_class_blobs(3, seed=9)
+        train = ContaminatedDataset(np.full_like(ds.features, 1e308), ds.observed_labels,
+                                    ds.clean_labels, ds.contaminated_set, 3)
+        model = ModelState(Architecture((6, 3)), np.ones(18))  # every logit is inf
+        with pytest.raises(InvalidInputError, match="loss vector contains non-finite entries"):
+            reweight_step(model, train, WeightShift.zero(train.n),
+                          config(loss_kind=kind, reweight=reweight))
 
     def test_losses_of_wrong_length_rejected(self):
         train, _, _ = blob_splits(6)
