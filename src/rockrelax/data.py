@@ -202,11 +202,24 @@ def inject_ncar(labels, rate: float, num_classes: int, seed: int) -> tuple[np.nd
 
 def inject_kernel(labels, rate: float, kernel: ContaminationKernel,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-uniform noise: flipped labels drawn from the kernel row of the true class."""
+    """Non-uniform noise: flipped labels drawn from the kernel row of the true class.
+
+    Each flip takes one uniform draw u, in id order, and its new label is the
+    number of entries of its row's normalised cdf at or below u: the draw and
+    the arithmetic of `Generator.choice(K, p=row)` per flip, for all flips
+    of a class at once.
+    """
     labels, chosen, rng = _choose_flips(labels, rate, kernel.num_classes, seed)
     observed = labels.copy()
-    for i in chosen:
-        observed[i] = rng.choice(kernel.num_classes, p=kernel.matrix[labels[i]])
+    u = rng.random(chosen.size)
+    true = labels[chosen]
+    flipped = np.empty_like(true)
+    for c, row in enumerate(kernel.matrix):
+        rows = true == c
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        flipped[rows] = cdf.searchsorted(u[rows], side="right")
+    observed[chosen] = flipped
     return observed, chosen
 
 

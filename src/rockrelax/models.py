@@ -20,6 +20,18 @@ every result stays bit-exact.  The full-set loss pass (`_losses`) shares the
 softmax's matmuls, copy, maximum, exp and class total; for CCE it then
 divides only each row's label entry by its total, so it forms no (n, k)
 probability matrix.
+
+Full-set passes (`_logits`) write each hidden layer's activations into a
+per-thread workspace of two slots, used alternately by successive hidden
+layers, whenever the (n, width) array takes at most `SCRATCH_MAX_BYTES`;
+larger activations are freshly allocated.  Reusing the memory spares the
+page faults that a fresh array of that size costs on every call.  The
+workspace holds hidden activations only: the logits, their class-major
+copy and every array a function returns are fresh, so no result aliases
+it.  Each thread's slots grow to the largest activation it has passed
+(at most twice the cap in all) and are never freed.  A C-order
+`np.matmul(..., out=)` gives the bytes of `h @ w`, so results are
+bit-identical to fresh allocation.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +54,13 @@ MNIST3_WIDTHS = (784, 320, 320, 200, 3)
 
 # Widest output whose full-set softmax runs on a class-major copy (module docstring).
 CLASS_MAJOR_MAX_K = 7
+
+# Largest hidden activation, in bytes, that a full-set pass writes into its
+# thread's workspace instead of a fresh array (module docstring).
+SCRATCH_MAX_BYTES = 1 << 20
+
+# Per-thread workspace of `_logits`: `slots` holds two flat float64 arrays.
+_workspace = threading.local()
 
 
 class LossKind(enum.Enum):
@@ -168,12 +188,29 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a @ a) or bool(np.all(np.isfinite(a)))
 
 
+def _scratch(slot: int, shape: tuple[int, int]) -> np.ndarray | None:
+    """A C-order float64 array of `shape` in this thread's workspace slot, or
+    None when it would take more than SCRATCH_MAX_BYTES.  A slot is replaced
+    by a larger one only when `shape` does not fit it."""
+    size = shape[0] * shape[1]
+    if size * 8 > SCRATCH_MAX_BYTES:
+        return None
+    slots = getattr(_workspace, "slots", None)
+    if slots is None:
+        slots = _workspace.slots = [np.empty(0), np.empty(0)]
+    if slots[slot].size < size:
+        slots[slot] = np.empty(size)
+    return slots[slot][:size].reshape(shape)
+
+
 def _logits(mats, x: np.ndarray) -> np.ndarray:
     """(k, n) logits of an unchecked full set: a C-order class-major copy for
-    k <= CLASS_MAJOR_MAX_K, else the transposed view of C-order (n, k) logits."""
+    k <= CLASS_MAJOR_MAX_K, else the transposed view of C-order (n, k) logits.
+
+    Hidden activations go to the thread's workspace when they fit it."""
     h = x
-    for w in mats[:-1]:
-        h = h @ w
+    for i, w in enumerate(mats[:-1]):
+        h = np.matmul(h, w, out=_scratch(i % 2, (h.shape[0], w.shape[1])))
         np.maximum(h, 0.0, out=h)
     z = (h @ mats[-1]).T
     if z.shape[0] <= CLASS_MAJOR_MAX_K:

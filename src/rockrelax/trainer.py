@@ -172,9 +172,18 @@ def weight_histogram(u: WeightShift, contaminated_set) -> dict:
 
 
 def accuracy(model: ModelState, features: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose most probable class is their label; NaN on an empty set.
+
+    Labels are checked as `loss_per_sample` checks them: one integer in
+    [0, k) per row.
+    """
     if features.shape[0] == 0:
         return float("nan")
-    return float(np.mean(forward(model, features).argmax(axis=1) == labels))
+    probs = forward(model, features)
+    labels = np.asarray(labels)
+    n, k = probs.shape
+    _check_labels(labels, k, n)
+    return float(np.mean(probs.argmax(axis=1) == labels))
 
 
 def gradient_step(model: ModelState, dataset: ContaminatedDataset, u: WeightShift,

@@ -367,6 +367,13 @@ class TestInjectorsEqualReference:
                 self.assert_same(inject_kernel(labels, rate, kernel, seed),
                                  inject_kernel_oracle(labels, rate, kernel, seed))
 
+    def test_bundled_kernel_at_large_n(self):
+        # 12,000 flips, about 1,200 per kernel row
+        kernel = ContaminationKernel.from_file(mnist_kernel_path())
+        labels = np.random.default_rng(9).integers(0, 10, size=20_000)
+        self.assert_same(inject_kernel(labels, 0.6, kernel, 9),
+                         inject_kernel_oracle(labels, 0.6, kernel, 9))
+
 
 class TestBlobsAndSplit:
     def test_blobs_shape_and_determinism(self):

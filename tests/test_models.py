@@ -1,11 +1,15 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from rockrelax import models
 from rockrelax.errors import FormatError, InvalidInputError, NumericError
 from rockrelax.models import (
     MNIST3_WIDTHS,
+    SCRATCH_MAX_BYTES,
     Architecture,
     LossKind,
     ModelState,
@@ -498,6 +502,166 @@ class TestLossPass:
             want = outcome(lambda: loss_per_sample(forward(model, args[0]), args[1], kind))
             assert want is not None
             assert outcome(lambda: _losses(model, *args, kind)) == want
+
+
+# Full-set passes write hidden activations into a per-thread workspace up to
+# SCRATCH_MAX_BYTES.  A hidden width of 64 reaches the cap at exactly 2,048
+# rows; the 32-wide layer of the three-layer net stays below it at 2,049.
+SCRATCH_ROWS = {"below": 1920, "at": 2048, "above": 2049}
+SCRATCH_HIDDEN = [(), (64,), (64, 64), (64, 32, 64)]
+
+
+def held_scratch():
+    """The calling thread's workspace slots (none before its first scratch pass)."""
+    return list(getattr(models._workspace, "slots", ()))
+
+
+def assert_apart_from_scratch(*arrays):
+    for a in arrays:
+        assert not any(np.shares_memory(a, slot) for slot in held_scratch())
+
+
+def fresh_allocation(monkeypatch, call):
+    """`call()` with every hidden activation freshly allocated."""
+    with monkeypatch.context() as m:
+        m.setattr(models, "SCRATCH_MAX_BYTES", -1)
+        return call()
+
+
+def count_scratch_uses(monkeypatch):
+    """A list that records each scratch array `_logits` is handed."""
+    uses, scratch = [], models._scratch
+
+    def spy(slot, shape):
+        out = scratch(slot, shape)
+        if out is not None:
+            uses.append(shape)
+        return out
+    monkeypatch.setattr(models, "_scratch", spy)
+    return uses
+
+
+def in_new_thread(call):
+    """`call()`'s result, run in a thread of its own, so with an empty workspace."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(call()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
+
+
+class TestScratchWorkspace:
+    """Hidden activations in reused memory give the bytes of fresh allocation."""
+
+    @pytest.mark.parametrize("rows", SCRATCH_ROWS.values(), ids=SCRATCH_ROWS.keys())
+    @pytest.mark.parametrize("hidden", SCRATCH_HIDDEN, ids=lambda h: f"{len(h)}-hidden")
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_passes_equal_fresh_allocation(self, kind, k, hidden, rows, monkeypatch):
+        rng = np.random.default_rng(100 + rows + k)
+        model = small_model(rng, (6, *hidden, k))
+        x = rng.uniform(-3.0, 3.0, size=(rows, 6))
+        y = rng.integers(0, k, size=rows)
+        want_probs = fresh_allocation(monkeypatch, lambda: forward(model, x))
+        want_loss = fresh_allocation(monkeypatch, lambda: _losses(model, x, y, kind))
+        uses = count_scratch_uses(monkeypatch)
+        probs, loss = forward(model, x), _losses(model, x, y, kind)
+        assert probs.tobytes() == want_probs.tobytes() and probs.flags.c_contiguous
+        assert loss.tobytes() == want_loss.tobytes()
+        assert np.array_equal(probs, forward_oracle(model, x))
+        # each pass hands out scratch for every hidden layer that fits the cap
+        fits = [(rows, w) for w in hidden if rows * w * 8 <= SCRATCH_MAX_BYTES]
+        assert uses == fits * 2
+        assert_apart_from_scratch(probs, loss)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_features_in_any_layout_equal_fresh_allocation(self, layout, monkeypatch):
+        rng = np.random.default_rng(110)
+        model = small_model(rng, (6, 64, 64, 3))
+        x = rng.uniform(-3.0, 3.0, size=(2 * SCRATCH_ROWS["below"], 6))
+        x = np.asfortranarray(x[::2]) if layout == "fortran" else x[::2]
+        y = rng.integers(0, 3, size=x.shape[0])
+        want = fresh_allocation(monkeypatch, lambda: forward(model, np.ascontiguousarray(x)))
+        assert forward(model, x).tobytes() == want.tobytes()
+        assert _losses(model, x, y, LossKind.CCE).tobytes() == loss_per_sample(
+            want, y, LossKind.CCE).tobytes()
+
+    def test_second_pass_of_the_same_shape_allocates_no_scratch(self):
+        rng = np.random.default_rng(111)
+        model = small_model(rng, (6, 64, 32, 3))
+        x = rng.uniform(size=(SCRATCH_ROWS["below"], 6))
+        y = rng.integers(0, 3, size=x.shape[0])
+
+        def passes():
+            forward(model, x)
+            first = held_scratch()
+            _losses(model, x, y, LossKind.CCE)
+            forward(model, x[:100])  # a smaller pass fits the same slots
+            return first, held_scratch()
+        first, after = in_new_thread(passes)
+        assert [s.nbytes for s in first] == [x.shape[0] * w * 8 for w in (64, 32)]
+        assert all(a is b for a, b in zip(first, after, strict=True))
+
+    def test_held_scratch_never_exceeds_twice_the_cap(self):
+        rng = np.random.default_rng(112)
+        models_by_width = {w: small_model(rng, (6, w, w, 3)) for w in (16, 64, 256)}
+
+        def passes():
+            held = []
+            for rows in (10, 500, 2048, 4096, 9000, 3000):
+                x = rng.uniform(size=(rows, 6))
+                for model in models_by_width.values():
+                    forward(model, x)
+                    slots = held_scratch()
+                    assert all(s.nbytes <= SCRATCH_MAX_BYTES for s in slots)
+                    held.append(sum(s.nbytes for s in slots))
+            return held
+        held = in_new_thread(passes)
+        assert max(held) == 2 * SCRATCH_MAX_BYTES
+
+    def test_activations_above_the_cap_take_no_scratch(self):
+        rng = np.random.default_rng(113)
+        model = small_model(rng, (6, 64, 3))
+        x = rng.uniform(size=(SCRATCH_ROWS["above"], 6))
+        assert in_new_thread(lambda: (forward(model, x), held_scratch())[1]) == []
+
+    def test_three_threads_reproduce_single_thread_bytes(self):
+        rng = np.random.default_rng(114)
+        cases = [(small_model(rng, widths), rng.uniform(-3.0, 3.0, size=(rows, 6)))
+                 for widths, rows in (((6, 64, 3), 1920), ((6, 64, 32, 64, 8), 2048),
+                                      ((6, 48, 48, 5), 700))]
+        cases = [(m, x, rng.integers(0, m.architecture.num_classes, size=x.shape[0]))
+                 for m, x in cases]
+
+        def passes(model, x, y):
+            return [forward(model, x).tobytes()] + [
+                _losses(model, x, y, kind).tobytes() for kind in ALL_KINDS]
+        want = [passes(*case) for case in cases]
+        start = threading.Barrier(len(cases), timeout=60)
+        results, slots = {}, {}
+
+        def worker(i):
+            start.wait()  # all three threads hold their workspaces at once
+            results[i] = [passes(*cases[i]) for _ in range(20)]
+            slots[i] = held_scratch()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in results.items():
+            assert all(rep == want[i] for rep in got)
+        assert len(results) == len(cases)
+        held = [s for i in slots for s in slots[i]]
+        assert all(sum(s.nbytes for s in slots[i]) <= 2 * SCRATCH_MAX_BYTES for i in slots)
+        assert not any(np.shares_memory(a, b) for j, a in enumerate(held) for b in held[j + 1:])
 
 
 def read_only(*arrays):

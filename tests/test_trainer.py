@@ -19,7 +19,13 @@ from rockrelax.trainer import (
     run,
     weight_histogram,
 )
-from test_models import backprop_oracle
+from test_models import (
+    SCRATCH_HIDDEN,
+    SCRATCH_ROWS,
+    assert_apart_from_scratch,
+    backprop_oracle,
+    fresh_allocation,
+)
 
 
 def contaminated_blobs(seed, rate=0.2, per_class=150, dim=6, separation=8.0):
@@ -352,6 +358,30 @@ class TestReweightStep:
         _, part = reweight_step(model, train, WeightShift.zero(train.n), cfg)
         assert part.chi.size >= 0.2 * train.n
 
+    @pytest.mark.parametrize("rows", SCRATCH_ROWS.values(), ids=SCRATCH_ROWS.keys())
+    @pytest.mark.parametrize("hidden", SCRATCH_HIDDEN, ids=lambda h: f"{len(h)}-hidden")
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_equals_fresh_allocation(self, kind, k, hidden, rows, monkeypatch):
+        # hidden activations of up to SCRATCH_MAX_BYTES go through the thread's workspace
+        rng = np.random.default_rng(rows + k)
+        clean = rng.integers(0, k, size=rows)
+        observed, chosen = inject_ncar(clean, 0.3, k, seed=rows)
+        train = ContaminatedDataset(rng.uniform(-3.0, 3.0, size=(rows, 6)), observed, clean,
+                                    chosen, k)
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, *hidden, k)), k)
+        cfg = config(loss_kind=kind, reweight=ReweightConfig(contamination_estimate=0.3))
+        u_prev = WeightShift(rng.dirichlet(np.ones(rows)) - 1.0 / rows)
+        u_a, part_a = fresh_allocation(monkeypatch, lambda: reweight_step(model, train, u_prev,
+                                                                          cfg))
+        u_b, part_b = reweight_step(model, train, u_prev, cfg)
+        assert u_a.shifts.tobytes() == u_b.shifts.tobytes()
+        assert (part_a.c_min, part_a.gamma, part_a.n) == (part_b.c_min, part_b.gamma, part_b.n)
+        for name in ("i_min", "chi"):
+            assert getattr(part_a, name).tobytes() == getattr(part_b, name).tobytes()
+        assert_apart_from_scratch(u_b.shifts, part_b.i_min, part_b.chi)
+
 
 def weight_histogram_oracle(u, contaminated_set):
     """The former mask-based weight_histogram, kept as an exact oracle."""
@@ -458,6 +488,28 @@ class TestRun:
         assert its == sorted(its)
         for r in rec.iterations:
             assert sum(r.hist_contaminated) + sum(r.hist_clean) == train.n
+
+    def test_train_accuracy_is_accuracy_on_near_tied_logits(self, monkeypatch):
+        # identity weights make the features the logits; classes 0 and 1 lie
+        # one ulp apart, which the softmax's division can merge into a tie
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.5, 1.0, size=300)
+        x = np.stack([a, np.nextafter(a, np.inf), a - rng.uniform(0.0, 2.0, size=300)], axis=1)
+        ds = ContaminatedDataset.clean(x, rng.integers(0, 2, size=300), 3)
+        arch = Architecture((3, 3))
+        models = [ModelState(arch, np.eye(3)[:, perm].ravel())
+                  for perm in ([0, 1, 2], [2, 0, 1], [1, 0, 2])]
+        steps = iter(models)
+        monkeypatch.setattr(trainer, "gradient_step", lambda *args: next(steps))
+        _, rec = run(ds, ds, ds, config(max_iterations=len(models)), arch)
+        assert len(rec.iterations) == len(models)
+        merged = 0
+        for r, model in zip(rec.iterations, models):
+            assert r.train_accuracy == accuracy(model, ds.features, ds.observed_labels)
+            logits = ds.features @ model.matrices()[0]
+            merged += np.count_nonzero(forward(model, ds.features).argmax(axis=1)
+                                       != logits.argmax(axis=1))
+        assert merged > 0  # the fixture does tell probs.argmax from the logits' argmax
 
     @pytest.mark.parametrize("mode,eps", [("erm", 0.0), ("rrm", 0.0), ("arrm", 0.1)])
     def test_three_forward_passes_per_iteration(self, mode, eps, monkeypatch):
@@ -576,6 +628,23 @@ class TestAccuracy:
         for layout in (probs, np.asfortranarray(probs)):
             monkeypatch.setattr(trainer, "forward", lambda model, x, p=layout: p)
             assert accuracy(None, features, labels) == np.mean(probs.argmax(axis=1) == labels)
+
+    @pytest.mark.parametrize("labels", [[1], np.ones(50), np.full(50, 3), np.full(50, -1),
+                                        np.zeros(49, dtype=int), np.zeros((50, 1), dtype=int)],
+                                       ids=["one-label", "float", "too-large", "negative",
+                                            "too-few", "column"])
+    def test_labels_checked_as_loss_per_sample_checks_them(self, labels):
+        train = k_class_blobs(3, seed=12)
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, 3)), 12)
+        x = train.features[:50]
+        want = raised(lambda: loss_per_sample(forward(model, x), labels, LossKind.CCE))
+        assert raised(lambda: accuracy(model, x, labels)) == want
+
+    def test_empty_set_is_nan(self):
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, 3)), 13)
+        assert np.isnan(accuracy(model, np.zeros((0, 6)), np.zeros(0, dtype=int)))
 
 
 class TestAdversarial:
