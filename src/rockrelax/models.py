@@ -9,17 +9,18 @@ Layers carry no bias terms: the reference digit-classification MLP
 parameters alone.  Bias-capable layers can be emulated by appending a
 constant feature.
 
-One softmax serves every pass, over a (k, n) array of logits.  Full-set
-passes over k <= 7 classes (`CLASS_MAJOR_MAX_K`) copy the logits class-major,
-so each step runs over k long contiguous rows and writes a fresh C-order
-(n, k) result; training batches and wider outputs pass the transposed view
-of the logits, and the softmax runs in place.  The class sum keeps each
-layout's order.  Class by class equals numpy's row sum only below 8 columns
-(numpy sums wider rows pairwise), so wider outputs never take the copy and
-every result stays bit-exact.  The full-set loss pass (`_losses`) shares the
-softmax's matmuls, copy, maximum, exp and class total; for CCE it then
-divides only each row's label entry by its total, so it forms no (n, k)
-probability matrix.
+Every pass exponentiates a (k, n) array of logits in `_exp_shifted`.
+Full-set passes over k <= 7 classes (`CLASS_MAJOR_MAX_K`) copy the logits
+class-major, so each step runs over k long contiguous rows; wider outputs
+and training batches keep the transposed view of the logits.  A batch
+(`_backprop`) divides that view in place; `_softmax`, which serves full-set
+passes only, writes a fresh C-order (n, k) result for either layout.  The
+class sum keeps each layout's order.  Class by class equals
+numpy's row sum only below 8 columns (numpy sums wider rows pairwise), so
+wider outputs never take the copy and every result stays bit-exact.  The
+full-set loss pass (`_losses`) shares the softmax's matmuls, copy, maximum,
+exp and class total; for CCE it then divides only each row's label entry by
+its total, so it forms no (n, k) probability matrix.
 
 Full-set passes (`_logits`) write each hidden layer's activations into a
 per-thread workspace of two slots, used alternately by successive hidden
@@ -232,17 +233,9 @@ def _exp_shifted(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over each column of a (k, n) array of logits, as a C-order
-    (n, k) array; `z` is overwritten.
-
-    `z` is either a C-order class-major copy, whose probabilities go to a
-    fresh (n, k) array, or the transposed view of C-order (n, k) logits,
-    which are divided in place and returned.
-    """
+    """Softmax over each column of `_logits`' (k, n) result, as a fresh C-order
+    (n, k) array; `z` is overwritten."""
     total = _exp_shifted(z)
-    if z.flags.f_contiguous:
-        z /= total
-        return z.T
     probs = np.empty(z.shape[::-1])
     np.divide(z, total, out=probs.T)
     return probs
@@ -271,7 +264,9 @@ def _backprop(mats, x, labels, kind, scale=None, grad_views=None):
         h = h @ w
         np.maximum(h, 0.0, out=h)
         acts.append(h)
-    probs = _softmax((h @ mats[-1]).T)
+    z = (h @ mats[-1]).T
+    z /= _exp_shifted(z)
+    probs = z.T
     at_label = _label_index(labels, probs.shape[1])
     # dJ/dlogits from the residual probs - onehot(labels)
     if kind is LossKind.CCE:
@@ -407,29 +402,34 @@ def _checked_batch(model: ModelState, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, labels
 
 
-def _input_gradient(model: ModelState, x: np.ndarray, labels: np.ndarray, y,
+def _input_gradient(model: ModelState, x: np.ndarray, labels: np.ndarray,
                     kind: LossKind) -> np.ndarray:
-    """`grad_input` of a batch that `_checked_batch` has already converted and checked."""
+    """Input gradient of a 2-d batch that `_checked_batch` has already
+    converted and checked, as a fresh 2-d array."""
     gx = _backprop(model.matrices(), x, labels, kind)
     if not _all_finite(gx.ravel()):
         raise NumericError("non-finite input gradient")
-    return gx[0] if gx.shape[0] == 1 and np.ndim(y) == 0 else gx
+    return gx
 
 
 def grad_input(model: ModelState, x: np.ndarray, y, kind: LossKind) -> np.ndarray:
     """Gradient of the per-sample loss with respect to the input features.
 
-    `x` is one 1-d sample with an integer label `y` (the gradient is then
-    1-d too), or a 2-d batch with one label per row.
+    `x` is one sample with an integer label `y`, or a 2-d batch with one
+    label per row.  The gradient is 1-d whenever `y` is a scalar, so a
+    one-row 2-d batch with a scalar label gets a 1-d gradient too.
     """
-    return _input_gradient(model, *_checked_batch(model, x, y), y, kind)
+    gx = _input_gradient(model, *_checked_batch(model, x, y), kind)
+    return gx[0] if np.ndim(y) == 0 else gx
 
 
 def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: LossKind) -> np.ndarray:
     """Fast gradient sign perturbation x + eps * sign(dJ/dx); sign(0) = 0.
 
-    The raw additive update is returned without clipping, so perturbed
-    features may leave [0, 1].
+    At epsilon > 0 a 2-d batch keeps its shape, and a 1-d sample keeps its
+    shape with a scalar label but gains a batch axis with a label array;
+    epsilon = 0 returns a copy of `x`.  The raw additive update is returned
+    without clipping, so perturbed features may leave [0, 1].
     """
     if not 0 <= epsilon <= 1:
         raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -437,13 +437,11 @@ def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: Loss
     batch, labels = _checked_batch(model, x, y)  # even the identity takes only valid input
     if epsilon == 0:
         return x.copy()
-    step = _input_gradient(model, batch, labels, y, kind)  # a fresh array, reused in place
-    if step.ndim < x.ndim:  # a (1, d) batch with a scalar label keeps its batch axis
-        step = step.reshape(x.shape)
+    step = _input_gradient(model, batch, labels, kind)  # a fresh array, reused in place
     np.sign(step, out=step)
     step *= epsilon
-    step += x
-    return step
+    step += batch
+    return step[0] if x.ndim < 2 and np.ndim(y) == 0 else step
 
 
 CHECKPOINT_VERSION = 1

@@ -916,17 +916,19 @@ class TestFgsm:
         x = np.array([0.5, 0.5, 0.5])
         np.testing.assert_array_equal(fgsm_perturb(model, x, 0, 0.2, LossKind.CCE), x)
 
-    @pytest.mark.parametrize("x_shape,y,want", [
-        ((4,), 1, (4,)),
-        ((4,), np.array([1]), (1, 4)),  # a label array keeps the batch axis
-        ((1, 4), 1, (1, 4)),  # one row keeps its batch axis at every epsilon
-        ((5, 4), np.array([0, 1, 2, 0, 1]), (5, 4)),
+    @pytest.mark.parametrize("x_shape,y,want,want_grad", [
+        ((4,), 1, (4,), (4,)),
+        ((4,), np.array([1]), (1, 4), (1, 4)),  # a label array keeps the batch axis
+        # one row keeps its batch axis at every epsilon; its gradient, by a scalar label, does not
+        ((1, 4), 1, (1, 4), (4,)),
+        ((5, 4), np.array([0, 1, 2, 0, 1]), (5, 4), (5, 4)),
     ], ids=["1d-scalar-label", "1d-one-label-array", "2d-one-row-scalar-label", "2d-batch"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_output_shape_and_values(self, x_shape, y, want, eps):
+    def test_output_shape_and_values(self, x_shape, y, want, want_grad, eps):
         rng = np.random.default_rng(36)
         model = small_model(rng)
         x = rng.uniform(size=x_shape)
+        assert grad_input(model, x, y, LossKind.CCE).shape == want_grad
         xp = fgsm_perturb(model, x, y, eps, LossKind.CCE)
         if eps == 0:
             # the identity keeps the shape of x

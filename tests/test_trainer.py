@@ -646,6 +646,21 @@ class TestAccuracy:
         model = init_params(Architecture((6, 3)), 13)
         assert np.isnan(accuracy(model, np.zeros((0, 6)), np.zeros(0, dtype=int)))
 
+    def test_empty_set_checks_its_labels(self):
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, 3)), 13)
+        x = np.zeros((0, 6))
+        want = raised(lambda: loss_per_sample(forward(model, x), [1, 2], LossKind.CCE))
+        assert want == "expected 0 labels, got an array of shape (2,)"
+        assert raised(lambda: accuracy(model, x, [1, 2])) == want
+
+    def test_nested_list_features_are_converted(self):
+        from rockrelax.models import init_params
+        model = init_params(Architecture((6, 3)), 14)
+        x = k_class_blobs(3, seed=14).features[:50]
+        labels = np.arange(50) % 3
+        assert accuracy(model, x.tolist(), labels) == accuracy(model, x, labels)
+
 
 class TestAdversarial:
     def test_arrm_runs_and_differs_from_rrm(self):
