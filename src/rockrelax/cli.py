@@ -349,22 +349,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- report
 
 def cmd_report(args) -> int:
-    run_dirs = [Path(d) for d in args.run_dirs]
-    missing = [str(d) for d in run_dirs if not (d / "aggregate.json").exists()]
-    if missing:
-        print("missing artifacts:\n  " + "\n  ".join(missing), file=sys.stderr)
-        return EXIT_IO
-
     # every input is read, and every output row built, before anything is written
     lines = ["run  mode  test@peak-val  max-test"]
     rows, evolution = [], []
     by_mode = {}  # mode -> test_at_peak_validation_mean, of runs with a finished seed
-    for d in run_dirs:
+    for d in map(Path, args.run_dirs):
         path = d / "aggregate.json"
         with file_faults(path, "run aggregate"):
             agg = json.loads(path.read_text())
-            mode = agg["mode"]
-            if not agg["seeds"]:
+            mode, seeds = agg["mode"], agg["seeds"]
+            # the seeds train finished; any other seed_* directory is left from an earlier run
+            if not isinstance(seeds, list) or len({s for s in seeds if type(s) is int}) < len(seeds):
+                raise ValueError(f"seeds: expected a list of distinct integers, got {seeds!r}")
+            if not seeds:
                 # a failures-only aggregate: no accuracies to tabulate
                 lines.append(f"{d.name}  {mode}  every seed failed")
             else:
@@ -377,8 +374,8 @@ def cmd_report(args) -> int:
             for failure in agg.get("failures", []):
                 lines.append(f"  seed {failure['seed']} failed: {failure['type']}: {failure['message']}")
         # weight evolution: seeds x iterations x buckets x {contaminated, clean}
-        for seed_dir in sorted(d.glob("seed_*")):
-            path = seed_dir / "record.csv"
+        for seed in seeds:
+            path = d / f"seed_{seed}" / "record.csv"
             with file_faults(path, "run record"), open(path) as f:
                 reader = csv.DictReader(f)
                 for rec in reader:
@@ -388,7 +385,7 @@ def cmd_report(args) -> int:
                                          f"{len(reader.fieldnames)} cells")
                     for bi, label in enumerate(BUCKET_LABELS):
                         for population in ("contaminated", "clean"):
-                            evolution.append([d.name, seed_dir.name, rec["iteration"], label,
+                            evolution.append([d.name, f"seed_{seed}", rec["iteration"], label,
                                               population, rec[f"hist_{population}_{bi}"]])
     # accuracy comparison: the erm value with each reweighted one in parentheses
     if "erm" in by_mode:

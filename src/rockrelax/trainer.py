@@ -125,9 +125,13 @@ class RunRecord:
     config: dict
     iterations: list[IterationRecord] = field(default_factory=list)
     test_at_peak_validation: float = float("nan")
-    max_test_accuracy: float = float("nan")
     peak_validation_accuracy: float = float("nan")
     peak_model: ModelState | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def max_test_accuracy(self) -> float:
+        """The largest recorded test accuracy; NaN with no iteration or an empty test set."""
+        return max((rec.test_accuracy for rec in self.iterations), default=float("nan"))
 
     def summary(self) -> dict:
         return {
@@ -315,8 +319,6 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
             hist_contaminated=hist["contaminated"],
             hist_clean=hist["clean"],
         ))
-        if np.isnan(record.max_test_accuracy) or test_acc > record.max_test_accuracy:
-            record.max_test_accuracy = test_acc
         # true at the first iteration (the peak starts as NaN), on a new maximum, and
         # on a NaN val_acc: without a validation split every model is a peak, so the
         # final one is reported and patience never runs out

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import re
+import shutil
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
@@ -751,23 +752,44 @@ class TestReport:
         agg = json.loads((caches / "runs" / "a,b" / "aggregate.json").read_text())
         assert float(row[2]) == agg["test_at_peak_validation_mean"]
 
-    def test_missing_artifacts_listed(self, tmp_path, capsys):
-        assert main(["report", str(tmp_path / "nope")]) == EXIT_IO
-        assert "missing artifacts" in capsys.readouterr().err
+    def test_reads_only_the_listed_seeds(self, caches):
+        # a later one-seed train into the same directory leaves seed_1 behind, unlisted
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg]) == EXIT_OK
+        assert main(["train", "--config", cfg, "--seed", "0"]) == EXIT_OK
+        run = caches / "runs" / "rrm"
+        assert (run / "seed_1" / "record.csv").exists()
+        out = caches / "report"
+        assert main(["report", str(run), "--output-dir", str(out)]) == EXIT_OK
+        lines = (out / "weight_evolution.csv").read_text().splitlines()
+        # header + 2 iterations x 6 buckets x 2 populations of seed 0 alone
+        assert len(lines) == 1 + 2 * 6 * 2
+        assert {line.split(",")[1] for line in lines[1:]} == {"seed_0"}
 
-    @pytest.mark.parametrize("fault", ["not-json", "no-mode", "json-array",
+    @pytest.mark.parametrize("fault", ["no-aggregate", "not-json", "no-mode", "json-array",
+                                       "seeds-a-string", "repeated-seed",
                                        "record-without-a-hist-column", "no-record",
+                                       "listed-seed-without-a-directory",
                                        "truncated-record-row", "record-row-with-an-extra-cell"])
     def test_malformed_aggregate_io_error(self, tmp_path, capsys, fault):
         run = tmp_path / "run"
-        write_run(run, ERM_AGGREGATE, seeds=[0])
+        write_run(run, ERM_AGGREGATE, seeds=[0, 1])
         path, what = run / "aggregate.json", "run aggregate"
-        if fault == "not-json":
+        if fault == "no-aggregate":
+            path.unlink()
+        elif fault == "not-json":
             path.write_text('{"seeds": [0], "mode": ')
         elif fault == "no-mode":
             write_json(path, {key: v for key, v in ERM_AGGREGATE.items() if key != "mode"})
         elif fault == "json-array":
             write_json(path, [ERM_AGGREGATE])
+        elif fault in ("seeds-a-string", "repeated-seed"):
+            # "01" would name seed_0 and seed_1, both present; [0, 0] would count seed 0 twice
+            seeds = "01" if fault == "seeds-a-string" else [0, 0]
+            write_json(path, dict(ERM_AGGREGATE, seeds=seeds))
+        elif fault == "listed-seed-without-a-directory":
+            shutil.rmtree(run / "seed_1")
+            path, what = run / "seed_1" / "record.csv", "run record"
         else:
             path, what = run / "seed_0" / "record.csv", "run record"
             if fault == "no-record":

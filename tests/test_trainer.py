@@ -549,6 +549,22 @@ class TestRun:
             == rec.test_at_peak_validation == peak.test_accuracy
         assert "peak_model" not in rec.summary()
 
+    def test_max_test_accuracy_is_the_largest_recorded(self):
+        train, val, test = blob_splits(0, rate=0.3, separation=1.0)
+        _, rec = run(train, val, test, config(max_iterations=4), ARCH)
+        accs = [r.test_accuracy for r in rec.iterations]
+        assert accs[0] < max(accs) > accs[-1]  # neither the first nor the final value
+        assert rec.max_test_accuracy == max(accs) == rec.summary()["max_test_accuracy"]
+
+    def test_max_test_accuracy_is_nan_without_a_test_set(self):
+        train, val, _ = blob_splits(18)
+        empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
+                                    np.zeros(0, dtype=int), np.empty(0, dtype=int), 3)
+        _, rec = run(train, val, empty, config(), ARCH)
+        assert len(rec.iterations) == 3
+        assert np.isnan(rec.max_test_accuracy)
+        assert np.isnan(rec.summary()["max_test_accuracy"])
+
     def test_without_validation_the_final_model_is_reported(self):
         train, _, test = blob_splits(18)
         empty = ContaminatedDataset(np.zeros((0, 6)), np.zeros(0, dtype=int),
