@@ -366,6 +366,9 @@ def cmd_report(args) -> int:
                 lines.append(f"{d.name}  {mode}  every seed failed")
             else:
                 stats = [agg[f"{key}_{stat}"] for key in _AGGREGATE_KEYS for stat in ("mean", "std")]
+                # a bool is an int to Python; NaN passes, since an empty test set writes it
+                if any(type(v) is bool or not isinstance(v, (int, float)) for v in stats):
+                    raise ValueError(f"accuracy statistics: expected numbers, got {stats!r}")
                 peak_mean, peak_std, max_mean, _ = stats
                 lines.append(f"{d.name}  {mode}  {100 * peak_mean:.1f} ± {100 * peak_std:.1f}  "
                              f"{100 * max_mean:.1f}")

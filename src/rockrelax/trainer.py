@@ -282,7 +282,10 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
     Test accuracy is reported both at peak validation accuracy and as the
     maximum over iterations; the model returned is the final one, and
     `record.peak_model` is the one at peak validation.  All three sets are
-    checked against the architecture before the first epoch.
+    checked against the architecture before the first epoch.  Each iteration's
+    (n, k) probability matrix of the training set lives only for its loss and
+    accuracy, so it is not held through reweighting, evaluation and the next
+    epochs.
     """
     for name, dataset in (("train set", train), ("validation set", validation),
                           ("test set", test)):
@@ -296,6 +299,8 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
         model = gradient_step(model, train, u, config, rng)
         probs = forward(model, train.features)
         c = loss_per_sample(probs, train.observed_labels, config.loss_kind)
+        train_acc = float(np.mean(probs.argmax(axis=1) == train.observed_labels))
+        del probs  # freed before the reweighting step and the evaluation passes
         if config.mode == "erm":
             pruned, precision, recall = 0, 0.0, 0.0
         else:
@@ -309,7 +314,7 @@ def run(train: ContaminatedDataset, validation: ContaminatedDataset,
             mean_loss=float(c.mean()),
             min_loss=float(c.min()),
             max_loss=float(c.max()),
-            train_accuracy=float(np.mean(probs.argmax(axis=1) == train.observed_labels)),
+            train_accuracy=train_acc,
             validation_accuracy=val_acc,
             test_accuracy=test_acc,
             tv=tv_distance(u),

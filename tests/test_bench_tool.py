@@ -83,19 +83,28 @@ class TestProblem:
         assert bench.problem(run) == why
 
 
+ENV = {"git_commit": None, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+       "blas": "scipy-openblas 0.3.30", "blas_threads": 2, "nproc": 2, "dtype": "float64"}
+
+
 def test_bench_once_reads_the_last_line_in_the_child_environment(tmp_path):
-    # a stand-in perfbench/run.py that reports the environment variable it was given
+    # a stand-in perfbench/run.py that prints its environment line, as run.py does, and
+    # reports the environment variable it was given
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json, os, sys\n"
         "print('a metric line')\n"
+        f"print('environment ' + json.dumps({ENV!r} | {{'workload': sys.argv[2]}}))\n"
         "print(json.dumps({'argv': sys.argv[1:],"
         " 'threshold': os.environ.get('MALLOC_MMAP_THRESHOLD_')}))\n")
     before = os.environ.get("MALLOC_MMAP_THRESHOLD_")
     out = bench.bench_once(tmp_path, "blob-gate", 7, 1.5)
     assert out == {"argv": ["--workload", "blob-gate", "--seed", "7", "--seconds", "1.5",
-                            "--trace", "0"], "threshold": "131072"}
+                            "--trace", "0"], "threshold": "131072",
+                   "environment": ENV | {"workload": "blob-gate"}}
     assert os.environ.get("MALLOC_MMAP_THRESHOLD_") == before
+    (tmp_path / "perfbench" / "run.py").write_text("print('{}')\n")
+    assert bench.bench_once(tmp_path, "blob-gate", 7, 1.5) == {"environment": None}
     (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
     assert bench.bench_once(tmp_path, "blob-gate", 7, 1.5)["error"].startswith("exit 3")
 
@@ -108,7 +117,9 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
         calls.append((workload, seed, side))
         if (workload, seed, side) == ("w2", 1, "parent"):
             return result(correct=False)
-        return result(rrm_run_s=2.0 if side == "parent" else 1.0)
+        env = ENV | {"git_commit": None if side == "parent" else "ab" * 20,
+                     "workload": workload, "seed": seed}
+        return result(rrm_run_s=2.0 if side == "parent" else 1.0) | {"environment": env}
 
     # git and the extraction are stubbed, so the test needs no git work tree
     monkeypatch.setattr(bench, "git", lambda *args: "c0ffee" * 7)
@@ -127,6 +138,8 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["bad_runs"] == [{"workload": "w2", "seed": 1, "side": "parent",
                                 "problem": "not correct"}]
+    # each side's environment as its first run printed it, without the workload and seed
+    assert doc["environment"] == {"parent": ENV, "change": ENV | {"git_commit": "ab" * 20}}
     assert doc["summary"]["w1"]["rrm_run_s"]["pairs"] == 3
     assert doc["summary"]["w2"]["rrm_run_s"]["pairs"] == 2  # the bad run's pair is left out
     assert doc["summary"]["w1"]["rrm_run_s"]["wins"] == 3

@@ -767,7 +767,7 @@ class TestReport:
         assert {line.split(",")[1] for line in lines[1:]} == {"seed_0"}
 
     @pytest.mark.parametrize("fault", ["no-aggregate", "not-json", "no-mode", "json-array",
-                                       "seeds-a-string", "repeated-seed",
+                                       "seeds-a-string", "repeated-seed", "accuracy-a-bool",
                                        "record-without-a-hist-column", "no-record",
                                        "listed-seed-without-a-directory",
                                        "truncated-record-row", "record-row-with-an-extra-cell"])
@@ -787,6 +787,9 @@ class TestReport:
             # "01" would name seed_0 and seed_1, both present; [0, 0] would count seed 0 twice
             seeds = "01" if fault == "seeds-a-string" else [0, 0]
             write_json(path, dict(ERM_AGGREGATE, seeds=seeds))
+        elif fault == "accuracy-a-bool":
+            # a bool is an int to Python: it would be reported as 100.0 and written as True
+            write_json(path, dict(ERM_AGGREGATE, test_at_peak_validation_mean=True))
         elif fault == "listed-seed-without-a-directory":
             shutil.rmtree(run / "seed_1")
             path, what = run / "seed_1" / "record.csv", "run record"
@@ -812,6 +815,17 @@ class TestReport:
         assert "Traceback" not in err
         assert not (out / "comparison.txt").exists()
         assert not (out / "weight_evolution.csv").exists()
+
+    def test_nan_accuracy_is_reported(self, tmp_path):
+        # an empty test set writes NaN statistics, which report tabulates as they are
+        write_run(tmp_path / "run", dict(ERM_AGGREGATE, max_test_accuracy_mean=float("nan"),
+                                         max_test_accuracy_std=float("nan")), seeds=[0, 1])
+        out = tmp_path / "report"
+        assert main(["report", str(tmp_path / "run"), "--output-dir", str(out)]) == EXIT_OK
+        assert "run  erm  75.0 ± 5.0  nan" in (out / "comparison.txt").read_text()
+        with open(out / "comparison.csv", newline="") as f:
+            _, row = csv.reader(f)
+        assert row[4:] == ["nan", "nan"]
 
     def test_exact_bytes(self, tmp_path):
         failure = {"traceback": "Traceback (most recent call last): ..."}

@@ -1,4 +1,5 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -538,6 +539,29 @@ class TestRun:
         _, rec = run(train, val, test, config(max_iterations=3), ARCH)
         for r, probs in zip(rec.iterations, passes[::3]):
             assert r.train_accuracy == np.mean(probs.argmax(axis=1) == train.observed_labels)
+
+    @pytest.mark.parametrize("mode", ["erm", "rrm"])
+    def test_train_probabilities_are_freed_before_evaluation(self, mode, monkeypatch):
+        # the training set's (n, k) matrix serves its loss and accuracy only, so none is
+        # alive when validation and test accuracy are computed
+        train, val, test = blob_splits(19)
+        passes, alive = [], []
+
+        def tracking_forward(model, features):
+            probs = forward(model, features)
+            if features is train.features:
+                passes.append(weakref.ref(probs))
+            return probs
+
+        def checking_accuracy(model, features, labels):
+            alive.append(any(ref() is not None for ref in passes))
+            return accuracy(model, features, labels)
+
+        monkeypatch.setattr(trainer, "forward", tracking_forward)
+        monkeypatch.setattr(trainer, "accuracy", checking_accuracy)
+        _, rec = run(train, val, test, config(mode, max_iterations=3), ARCH)
+        assert len(passes) == len(rec.iterations) == 3
+        assert alive == [False] * 6
 
     def test_peak_model_is_the_reported_one(self):
         train, val, test = blob_splits(17, rate=0.3)

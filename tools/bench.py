@@ -18,7 +18,12 @@ direction (ties count for neither), how much worse the change's median is
 than the parent's (a share of the parent's median; compare it with the
 metric's `bound`), and `gain`: whether the change won at least nine tenths
 of the pairs and its median beats the parent's by more than the parent's
-interquartile range.  `--output` defaults to `BENCH_<short commit of REV>.json`.
+interquartile range.  `environment` holds each side's environment line of
+`perfbench/run.py` (git commit, Python, numpy, scipy, BLAS, `blas_threads`,
+`nproc`, dtype), as its first run printed it, without the workload and seed.
+The parent tree is no git work tree, so its `git_commit` reads null;
+`parent_commit` names it.  `--output` defaults to
+`BENCH_<short commit of REV>.json`.
 
 A run that does not end in a result line, is not `correct` or has a failed
 op is listed under `bad_runs`, its pair is left out of the summary, and the
@@ -39,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+ENV_PREFIX = "environment "
 
 
 def git(*args: str) -> str:
@@ -53,16 +59,20 @@ def extract(commit: str, into: str) -> None:
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in `tree`: its result line, or why it has none."""
+    """One `perfbench/run.py --trace 0` run in `tree`: its result line, with its environment
+    line under `environment` (None when it printed none), or why it has none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env={**os.environ, **CHILD_ENV}, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         return {"error": f"exit {proc.returncode}, no result line: {proc.stderr[-2000:]}"}
+    envs = [line[len(ENV_PREFIX):] for line in lines if line.startswith(ENV_PREFIX)]
+    result["environment"] = json.loads(envs[-1]) if envs else None
+    return result
 
 
 def problem(result: dict) -> str | None:
@@ -118,6 +128,7 @@ def main(argv=None) -> int:
     commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
     output = Path(args.output or f"BENCH_{commit[:7]}.json")
     runs, bad, summary = [], [], {}
+    environment = {"parent": None, "change": None}
     with tempfile.TemporaryDirectory() as parent_tree:
         extract(commit, parent_tree)
         trees = {"parent": Path(parent_tree), "change": ROOT}
@@ -129,6 +140,9 @@ def main(argv=None) -> int:
                 for side in order:
                     result = bench_once(trees[side], workload, seed, args.seconds)
                     why = problem(result)
+                    if environment[side] is None and result.get("environment"):
+                        environment[side] = {k: v for k, v in result["environment"].items()
+                                             if k not in ("workload", "seed")}
                     metrics[side] = {k: m["value"] for k, m in result.get("metrics", {}).items()}
                     runs.append({"workload": workload, "seed": seed, "side": side,
                                  "metrics": metrics[side]})
@@ -144,7 +158,8 @@ def main(argv=None) -> int:
                                      for m in BENCHMARK["end_to_end"]}
     doc = {"against": args.against, "parent_commit": commit,
            "change": git("describe", "--always", "--dirty"), "seconds": args.seconds,
-           "pairs": args.pairs, "child_env": CHILD_ENV, "bad_runs": bad,
+           "pairs": args.pairs, "child_env": CHILD_ENV, "environment": environment,
+           "bad_runs": bad,
            "summary": summary, "runs": runs}
     output.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {output}", file=sys.stderr)
