@@ -154,9 +154,11 @@ def init_params(architecture: Architecture, seed: int) -> ModelState:
 
 
 def _check_features(architecture: Architecture, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != architecture.input_dim:
-        raise InvalidInputError(f"{x.shape[-1] if x.ndim else '?'}-dim features, "
-                                f"but the architecture takes {architecture.input_dim}")
+    d = architecture.input_dim
+    if x.ndim != 2:
+        raise InvalidInputError(f"features must be a 2-d (rows, {d}) array, got shape {x.shape}")
+    if x.shape[1] != d:
+        raise InvalidInputError(f"{x.shape[1]}-dim features, but the architecture takes {d}")
 
 
 def _check_labels(labels: np.ndarray, k: int, rows: int) -> None:
@@ -308,6 +310,9 @@ def loss_per_sample(probs: np.ndarray, labels, kind: LossKind) -> np.ndarray:
     """Per-sample loss of softmax probabilities against integer labels."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
+    if probs.ndim != 2:
+        raise InvalidInputError(f"probabilities must be a 2-d (rows, classes) array, "
+                                f"got shape {probs.shape}")
     n, k = probs.shape
     _check_labels(labels, k, n)
     return _probs_loss(probs, labels, kind)
@@ -336,12 +341,8 @@ def _losses(model: ModelState, features, labels, kind: LossKind) -> np.ndarray:
     (n, k) label index is formed; other losses and wider outputs go through
     the probability matrix.
     """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    arch = model.architecture
-    _check_features(arch, features)
+    features, labels = _checked_batch(model, features, labels)
     n = features.shape[0]
-    _check_labels(labels, arch.num_classes, n)
     z = _logits(model.matrices(), features)
     if kind is not LossKind.CCE or z.shape[0] > CLASS_MAJOR_MAX_K:
         return _probs_loss(_softmax(z), labels, kind)
@@ -366,13 +367,10 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
     a new array; that array is returned.
     """
     arch = model.architecture
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
+    x, labels = _checked_batch(model, x, labels)
     weights = np.asarray(weights, dtype=float)
-    _check_features(arch, x)
     if weights.shape != (x.shape[0],):
         raise InvalidInputError("features and weights disagree on sample count")
-    _check_labels(labels, arch.num_classes, x.shape[0])
     size = arch.num_params
     if out is None:
         out = np.empty(size)
@@ -388,15 +386,11 @@ def grad_params_weighted(model: ModelState, x: np.ndarray, labels: np.ndarray,
     return out
 
 
-def _checked_batch(model: ModelState, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """`x` as a 2-d float batch and `y` as its labels, both checked against the model."""
-    # the rank rules of np.atleast_2d and np.atleast_1d, with no call for a batch that has its rank
+def _checked_batch(model: ModelState, x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """`x` as a float (n, input_dim) batch and `labels` as its n integers in
+    [0, k), both checked against the model; neither is promoted in rank."""
     x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        x = x.reshape(1, -1)
-    labels = np.asarray(y)
-    if labels.ndim == 0:
-        labels = labels.reshape(1)
+    labels = np.asarray(labels)
     _check_features(model.architecture, x)
     _check_labels(labels, model.architecture.num_classes, x.shape[0])
     return x, labels
@@ -415,33 +409,37 @@ def _input_gradient(model: ModelState, x: np.ndarray, labels: np.ndarray,
 def grad_input(model: ModelState, x: np.ndarray, y, kind: LossKind) -> np.ndarray:
     """Gradient of the per-sample loss with respect to the input features.
 
-    `x` is one sample with an integer label `y`, or a 2-d batch with one
-    label per row.  The gradient is 1-d whenever `y` is a scalar, so a
-    one-row 2-d batch with a scalar label gets a 1-d gradient too.
+    `x` is a 2-d batch with one label per row, or one 1-d sample with a
+    scalar label `y`, taken as a one-row batch; any other mix of ranks is
+    rejected.  The gradient has the shape of `x`.
     """
-    gx = _input_gradient(model, *_checked_batch(model, x, y), kind)
-    return gx[0] if np.ndim(y) == 0 else gx
+    x = np.asarray(x, dtype=float)
+    one = x.ndim == 1 and np.ndim(y) == 0
+    batch, labels = _checked_batch(model, x[None] if one else x, np.reshape(y, 1) if one else y)
+    return _input_gradient(model, batch, labels, kind).reshape(x.shape)
 
 
 def fgsm_perturb(model: ModelState, x: np.ndarray, y, epsilon: float, kind: LossKind) -> np.ndarray:
     """Fast gradient sign perturbation x + eps * sign(dJ/dx); sign(0) = 0.
 
-    At epsilon > 0 a 2-d batch keeps its shape, and a 1-d sample keeps its
-    shape with a scalar label but gains a batch axis with a label array;
-    epsilon = 0 returns a copy of `x`.  The raw additive update is returned
-    without clipping, so perturbed features may leave [0, 1].
+    `x` and `y` take the two forms of `grad_input`, and the result has the
+    shape of `x` at every epsilon; epsilon = 0 returns a copy of `x`.  The
+    raw additive update is returned without clipping, so perturbed features
+    may leave [0, 1].
     """
     if not 0 <= epsilon <= 1:
         raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
     x = np.asarray(x, dtype=float)
-    batch, labels = _checked_batch(model, x, y)  # even the identity takes only valid input
+    one = x.ndim == 1 and np.ndim(y) == 0
+    # even the identity takes only valid input
+    batch, labels = _checked_batch(model, x[None] if one else x, np.reshape(y, 1) if one else y)
     if epsilon == 0:
         return x.copy()
-    step = _input_gradient(model, batch, labels, kind)  # a fresh array, reused in place
+    step = _input_gradient(model, batch, labels, kind).reshape(x.shape)  # fresh, reused in place
     np.sign(step, out=step)
     step *= epsilon
-    step += batch
-    return step[0] if x.ndim < 2 and np.ndim(y) == 0 else step
+    step += x
+    return step
 
 
 CHECKPOINT_VERSION = 1

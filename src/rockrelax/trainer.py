@@ -9,6 +9,8 @@ same loop with the re-weighting step disabled (u stays identically zero).
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -86,6 +88,11 @@ class TrainConfig:
             raise InvalidInputError(f"epsilon_train must lie in [0, 1], got {self.epsilon_train}")
         if (self.mode == "arrm") != (self.epsilon_train > 0):
             raise InvalidInputError("arrm mode requires epsilon_train > 0; erm/rrm require 0")
+        for name in ("epochs_per_iteration", "batch_size", "max_iterations", "patience", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would not echo as JSON
         if self.epochs_per_iteration < 1 or self.batch_size < 1 or self.max_iterations < 1:
             raise InvalidInputError("epochs, batch size, and iterations must be >= 1")
         if self.patience < 1:
@@ -94,6 +101,8 @@ class TrainConfig:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate > 0:
             raise InvalidInputError(f"learning rate must be positive, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidInputError(f"learning rate must be finite, got {self.learning_rate}")
 
 
 @dataclass

@@ -109,6 +109,24 @@ def test_bench_once_reads_the_last_line_in_the_child_environment(tmp_path):
     assert bench.bench_once(tmp_path, "blob-gate", 7, 1.5)["error"].startswith("exit 3")
 
 
+DIGESTS = {"16": "ab" * 32, "23": "cd" * 32}
+
+
+def test_digests_run_the_trees_own_tool(tmp_path):
+    # a stand-in tools/trajectory_hash.py that prints what the real one prints with --json,
+    # and fails unless it runs in its own tree and is given --json
+    assert bench.digests(tmp_path) is None  # a tree without the tool
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "trajectory_hash.py").write_text(
+        "import json, os, sys\n"
+        f"assert sys.argv[1:] == ['--json'] and os.path.samefile('.', {str(tmp_path)!r})\n"
+        f"print(json.dumps({{'fingerprint': {{'numpy': '2.4.6'}}, 'digests': {DIGESTS!r}}}))\n")
+    assert bench.digests(tmp_path) == DIGESTS
+    (tmp_path / "tools" / "trajectory_hash.py").write_text("import sys\nsys.exit(3)\n")
+    with pytest.raises(bench.subprocess.CalledProcessError):
+        bench.digests(tmp_path)
+
+
 def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     calls, trees = [], []
 
@@ -125,6 +143,8 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "git", lambda *args: "c0ffee" * 7)
     monkeypatch.setattr(bench, "extract", lambda commit, into: trees.append((commit, into)))
     monkeypatch.setattr(bench, "bench_once", fake_bench_once)
+    # the parent tree stands for one without the digest tool
+    monkeypatch.setattr(bench, "digests", lambda tree: DIGESTS if tree == bench.ROOT else None)
     out = tmp_path / "bench.json"
     argv = ["--against", "HEAD", "--workloads", "w1", "w2", "--pairs", "3", "--seconds", "1",
             "--output", str(out)]
@@ -140,6 +160,7 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
                                 "problem": "not correct"}]
     # each side's environment as its first run printed it, without the workload and seed
     assert doc["environment"] == {"parent": ENV, "change": ENV | {"git_commit": "ab" * 20}}
+    assert doc["digests"] == {"parent": None, "change": DIGESTS}
     assert doc["summary"]["w1"]["rrm_run_s"]["pairs"] == 3
     assert doc["summary"]["w2"]["rrm_run_s"]["pairs"] == 2  # the bad run's pair is left out
     assert doc["summary"]["w1"]["rrm_run_s"]["wins"] == 3

@@ -26,6 +26,7 @@ from rockrelax.models import (
     loss_per_sample,
     save_checkpoint,
 )
+from rockrelax.trainer import accuracy
 
 ALL_KINDS = [LossKind.CCE, LossKind.MAE, LossKind.MSE]
 
@@ -792,6 +793,27 @@ class TestEdgeValidation:
             with pytest.raises(InvalidInputError):
                 call()
 
+    @pytest.mark.parametrize("lead", [(), (2, 2)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("entry", ["forward", "accuracy", "grad_params_weighted", "_losses",
+                                       "loss_per_sample"])
+    def test_wrong_rank_rejected_with_the_expected_shape(self, entry, lead):
+        model = small_model(np.random.default_rng(37))  # input width 4, 3 classes
+        x, probs, y = np.ones(lead + (4,)), np.ones(lead + (3,)) / 3, np.zeros(2, dtype=int)
+        calls = {
+            "forward": lambda: forward(model, x),
+            "accuracy": lambda: accuracy(model, x, y),
+            "grad_params_weighted": lambda: grad_params_weighted(model, x, y, np.ones(2),
+                                                                 LossKind.CCE),
+            "_losses": lambda: _losses(model, x, y, LossKind.CCE),
+            "loss_per_sample": lambda: loss_per_sample(probs, y, LossKind.CCE),
+        }
+        if entry == "loss_per_sample":
+            message = f"probabilities must be a 2-d (rows, classes) array, got shape {probs.shape}"
+        else:
+            message = f"features must be a 2-d (rows, 4) array, got shape {x.shape}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            calls[entry]()
+
 
 def two_reduction_check(labels, k, rows):
     """The label rule as it stood with a separate min() and max() test."""
@@ -916,28 +938,36 @@ class TestFgsm:
         x = np.array([0.5, 0.5, 0.5])
         np.testing.assert_array_equal(fgsm_perturb(model, x, 0, 0.2, LossKind.CCE), x)
 
-    @pytest.mark.parametrize("x_shape,y,want,want_grad", [
-        ((4,), 1, (4,), (4,)),
-        ((4,), np.array([1]), (1, 4), (1, 4)),  # a label array keeps the batch axis
-        # one row keeps its batch axis at every epsilon; its gradient, by a scalar label, does not
-        ((1, 4), 1, (1, 4), (4,)),
-        ((5, 4), np.array([0, 1, 2, 0, 1]), (5, 4), (5, 4)),
-    ], ids=["1d-scalar-label", "1d-one-label-array", "2d-one-row-scalar-label", "2d-batch"])
+    @pytest.mark.parametrize("x_shape,y,rejected", [
+        ((4,), 1, None),
+        ((4,), np.int8(2), None),
+        # a 1-d sample takes a scalar label, a 2-d batch one label per row; no mix of the two
+        ((4,), np.array([1]), r"features must be a 2-d \(rows, 4\) array, got shape \(4,\)"),
+        ((1, 4), 1, r"expected 1 labels, got an array of shape \(\)"),
+        ((1, 4), np.array([1]), None),
+        ((5, 4), np.array([0, 1, 2, 0, 1]), None),
+    ], ids=["1d-scalar-label", "1d-numpy-scalar-label", "1d-one-label-array",
+            "2d-one-row-scalar-label", "2d-one-row", "2d-batch"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_output_shape_and_values(self, x_shape, y, want, want_grad, eps):
+    def test_output_shape_and_values(self, x_shape, y, rejected, eps):
         rng = np.random.default_rng(36)
         model = small_model(rng)
         x = rng.uniform(size=x_shape)
-        assert grad_input(model, x, y, LossKind.CCE).shape == want_grad
+        if rejected:
+            with pytest.raises(InvalidInputError, match=rejected):
+                grad_input(model, x, y, LossKind.CCE)
+            with pytest.raises(InvalidInputError, match=rejected):
+                fgsm_perturb(model, x, y, eps, LossKind.CCE)
+            return
+        # the gradient and the perturbation have the shape of x at every epsilon
+        grad = grad_input(model, x, y, LossKind.CCE)
+        assert grad.shape == x_shape
         xp = fgsm_perturb(model, x, y, eps, LossKind.CCE)
+        assert xp.shape == x_shape and xp is not x
         if eps == 0:
-            # the identity keeps the shape of x
-            assert xp.shape == x_shape and xp is not x
             np.testing.assert_array_equal(xp, x)
             return
-        assert xp.shape == want
-        step = np.sign(grad_input(model, x, y, LossKind.CCE)) * eps
-        assert xp.tobytes() == (step + x).tobytes()
+        assert xp.tobytes() == (np.sign(grad) * eps + x).tobytes()
 
 
 class TestArchitecture:

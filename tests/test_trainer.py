@@ -1,4 +1,5 @@
 import csv
+import json
 import weakref
 
 import numpy as np
@@ -122,10 +123,27 @@ class TestConfig:
         ("rrm", {"patience": 0}, "patience must be >= 1, got 0"),
         ("rrm", {"patience": -2}, "patience must be >= 1, got -2"),
         ("rrm", {"seed": -1}, "seed must be >= 0, got -1"),
+        # counts are integers (not bools), and the rate is finite
+        ("rrm", {"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ("rrm", {"epochs_per_iteration": 1.5}, "epochs_per_iteration must be an integer, got 1.5"),
+        ("rrm", {"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+        ("rrm", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("rrm", {"patience": 1.5}, "patience must be an integer, got 1.5"),
+        ("rrm", {"batch_size": True}, "batch_size must be an integer, got True"),
+        ("rrm", {"learning_rate": float("inf")}, "learning rate must be finite, got inf"),
     ])
     def test_value_out_of_range_rejected(self, mode, kw, message):
         with pytest.raises(InvalidInputError, match=message):
             config(mode, **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        kw = {"epochs_per_iteration": np.int64(2), "batch_size": np.uint8(16),
+              "max_iterations": np.int32(3), "seed": np.int16(4), "patience": np.int64(2)}
+        cfg = config(**kw)
+        # stored as Python ints, so the config echo in a run's summary stays JSON
+        assert {k: getattr(cfg, k) for k in kw} == kw
+        assert all(type(getattr(cfg, k)) is int for k in kw)
+        json.dumps(trainer._config_echo(cfg))
 
 
 class TestGradientStep:

@@ -22,7 +22,10 @@ interquartile range.  `environment` holds each side's environment line of
 `perfbench/run.py` (git commit, Python, numpy, scipy, BLAS, `blas_threads`,
 `nproc`, dtype), as its first run printed it, without the workload and seed.
 The parent tree is no git work tree, so its `git_commit` reads null;
-`parent_commit` names it.  `--output` defaults to
+`parent_commit` names it.  `digests` holds each tree's trajectory digests
+(the `digests` of `tools/trajectory_hash.py --json`, run once per tree
+before the pairs), null for a tree without that tool; equal digests show
+that the change kept training bit-exact.  `--output` defaults to
 `BENCH_<short commit of REV>.json`.
 
 A run that does not end in a result line, is not `correct` or has a failed
@@ -56,6 +59,16 @@ def extract(commit: str, into: str) -> None:
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def digests(tree: Path) -> dict | None:
+    """The `digests` that `tools/trajectory_hash.py --json` prints in `tree`, or None when
+    the tree has no such tool.  A failing tool raises, its stderr passed through."""
+    if not (tree / "tools" / "trajectory_hash.py").is_file():
+        return None
+    out = subprocess.run([sys.executable, "tools/trajectory_hash.py", "--json"], cwd=tree,
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)["digests"]
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +145,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as parent_tree:
         extract(commit, parent_tree)
         trees = {"parent": Path(parent_tree), "change": ROOT}
+        tree_digests = {side: digests(tree) for side, tree in trees.items()}
         for workload in args.workloads:
             compared = []
             for seed in range(args.pairs):
@@ -159,6 +173,7 @@ def main(argv=None) -> int:
     doc = {"against": args.against, "parent_commit": commit,
            "change": git("describe", "--always", "--dirty"), "seconds": args.seconds,
            "pairs": args.pairs, "child_env": CHILD_ENV, "environment": environment,
+           "digests": tree_digests,
            "bad_runs": bad,
            "summary": summary, "runs": runs}
     output.write_text(json.dumps(doc, indent=1) + "\n")
