@@ -1,11 +1,13 @@
 """`tools/bench.py` summarises paired runs by the benchmark's rules.
 
-The tests feed it synthetic run results; none runs the benchmark.
+The tests feed it synthetic run results; none runs the benchmark.  One builds a
+scratch git repository to check which files the change side's tree holds.
 """
 
 import importlib.util
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -127,11 +129,17 @@ def test_digests_run_the_trees_own_tool(tmp_path):
         bench.digests(tmp_path)
 
 
+WORKING_TREE = "7ee" * 13 + "7"
+
+
 def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     calls, trees = [], []
 
+    def side_of(tree):  # a tree that was not extracted, such as the checkout, raises KeyError
+        return "change" if dict((into, t) for t, into in trees)[tree] == WORKING_TREE else "parent"
+
     def fake_bench_once(tree, workload, seed, seconds):
-        side = "change" if tree == bench.ROOT else "parent"
+        side = side_of(tree)
         calls.append((workload, seed, side))
         if (workload, seed, side) == ("w2", 1, "parent"):
             return result(correct=False)
@@ -139,12 +147,14 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
                      "workload": workload, "seed": seed}
         return result(rrm_run_s=2.0 if side == "parent" else 1.0) | {"environment": env}
 
-    # git and the extraction are stubbed, so the test needs no git work tree
+    # git, the working tree and the extraction are stubbed, so the test needs no git work tree
     monkeypatch.setattr(bench, "git", lambda *args: "c0ffee" * 7)
-    monkeypatch.setattr(bench, "extract", lambda commit, into: trees.append((commit, into)))
+    monkeypatch.setattr(bench, "working_tree", lambda: WORKING_TREE)
+    monkeypatch.setattr(bench, "extract", lambda treeish, into: trees.append((treeish, into)))
     monkeypatch.setattr(bench, "bench_once", fake_bench_once)
     # the parent tree stands for one without the digest tool
-    monkeypatch.setattr(bench, "digests", lambda tree: DIGESTS if tree == bench.ROOT else None)
+    monkeypatch.setattr(bench, "digests",
+                        lambda tree: DIGESTS if side_of(tree) == "change" else None)
     out = tmp_path / "bench.json"
     argv = ["--against", "HEAD", "--workloads", "w1", "w2", "--pairs", "3", "--seconds", "1",
             "--output", str(out)]
@@ -153,9 +163,11 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     assert calls == [(w, seed, side) for w in ("w1", "w2") for seed, sides in
                      ((0, ("parent", "change")), (1, ("change", "parent")),
                       (2, ("parent", "change"))) for side in sides]
-    (commit, tree), = trees
-    assert commit == "c0ffee" * 7 and not Path(tree).exists()  # the parent tree is removed
+    # both sides run in trees extracted by one rule, and both trees are removed
+    assert sorted(t for t, _ in trees) == sorted(["c0ffee" * 7, WORKING_TREE])
+    assert all(not Path(into).exists() for _, into in trees)
     doc = json.loads(out.read_text())
+    assert doc["change_tree"] == WORKING_TREE and doc["parent_tree"] == "c0ffee" * 7
     assert doc["bad_runs"] == [{"workload": "w2", "seed": 1, "side": "parent",
                                 "problem": "not correct"}]
     # each side's environment as its first run printed it, without the workload and seed
@@ -166,3 +178,37 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     assert doc["summary"]["w1"]["rrm_run_s"]["wins"] == 3
     assert doc["summary"]["w1"]["rrm_run_s"]["ratios"] == [0.5, 0.5, 0.5]
     assert len(doc["runs"]) == 12
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git on PATH")
+def test_working_tree_holds_what_git_add_all_would_stage(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    monkeypatch.setattr(bench, "ROOT", repo)
+    for args in (("init", "-q"), ("config", "user.name", "bench test"),
+                 ("config", "user.email", "bench@example.com"),
+                 ("config", "commit.gpgsign", "false")):
+        bench.git(*args)
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "edited.txt").write_text("committed\n")
+    (repo / "deleted.txt").write_text("committed\n")
+    bench.git("add", "-A")
+    bench.git("commit", "-q", "-m", "start")
+    (repo / "edited.txt").write_text("edited, not staged\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    index = (repo / ".git" / "index").read_bytes()
+
+    tree = bench.working_tree()
+    assert (repo / ".git" / "index").read_bytes() == index
+    out = tmp_path / "out"
+    out.mkdir()
+    bench.extract(tree, out)
+    assert sorted(p.name for p in out.iterdir()) == [".gitignore", "edited.txt", "untracked.txt"]
+    assert (out / "edited.txt").read_text() == "edited, not staged\n"
+
+    # on a clean checkout the working tree is HEAD's tree; an ignored file stays out
+    bench.git("add", "-A")
+    bench.git("commit", "-q", "-m", "clean")
+    assert bench.working_tree() == bench.git("rev-parse", "HEAD^{tree}") == tree

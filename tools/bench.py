@@ -1,15 +1,22 @@
-"""Paired end-to-end benchmark runs of a git revision against the checkout.
+"""Paired end-to-end benchmark runs of a git revision against the working tree.
 
     python tools/bench.py --against REV [--workloads W ...] [--pairs 10] [--seconds 36]
                           [--output BENCH_<label>.json]
 
-REV is extracted with `git archive REV | tar -x` into a temporary directory.
-Each pair runs `perfbench/run.py --trace 0` once in that tree (the parent)
-and once in the checkout, with uncommitted edits (the change), with the same
-seed: pair i uses seed i, and pairs alternate which side runs first, the
-parent in even pairs.  The children run with `MALLOC_MMAP_THRESHOLD_=131072`,
-so that glibc's adaptive mmap threshold cannot drift differently in the two
-processes; this process's own environment is left as it is.
+Both sides run in fresh temporary trees made by one rule, `extract(treeish, into)`,
+which is `git archive <treeish> | tar -x`.  The parent's tree-ish is REV's commit.
+The change's is a tree object that `working_tree()` writes from the working tree
+through a throwaway index: tracked files as they are on disk, uncommitted edits
+included, and untracked files that git does not ignore, without deleted or ignored
+files.  The repository's own index is left as it is.  On a clean checkout,
+`--against HEAD` therefore runs the same files on both sides: an A/A run, which
+measures the noise floor of the gain rule.
+
+Each pair runs `perfbench/run.py --trace 0` once in each tree with the same seed:
+pair i uses seed i, and pairs alternate which side runs first, the parent in even
+pairs.  The children run with `MALLOC_MMAP_THRESHOLD_=131072`, so that glibc's
+adaptive mmap threshold cannot drift differently in the two processes; this
+process's own environment is left as it is.
 
 The output holds every run's end-to-end metrics and, per workload and metric
 of `BENCHMARK.json`, both sides' medians and quartiles, the change/parent
@@ -21,12 +28,13 @@ of the pairs and its median beats the parent's by more than the parent's
 interquartile range.  `environment` holds each side's environment line of
 `perfbench/run.py` (git commit, Python, numpy, scipy, BLAS, `blas_threads`,
 `nproc`, dtype), as its first run printed it, without the workload and seed.
-The parent tree is no git work tree, so its `git_commit` reads null;
-`parent_commit` names it.  `digests` holds each tree's trajectory digests
-(the `digests` of `tools/trajectory_hash.py --json`, run once per tree
-before the pairs), null for a tree without that tool; equal digests show
-that the change kept training bit-exact.  `--output` defaults to
-`BENCH_<short commit of REV>.json`.
+Neither tree is a git work tree, so both sides' `git_commit` reads null;
+`parent_commit`, `parent_tree` and `change_tree` name what ran, and equal
+tree ids mean both sides ran the same files.  `digests` holds each tree's
+trajectory digests (the `digests` of `tools/trajectory_hash.py --json`, run
+once per tree before the pairs), null for a tree without that tool; equal
+digests show that the change kept training bit-exact.  `--output` defaults
+to `BENCH_<short commit of REV>.json`.
 
 A run that does not end in a result line, is not `correct` or has a failed
 op is listed under `bad_runs`, its pair is left out of the summary, and the
@@ -50,13 +58,23 @@ CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 ENV_PREFIX = "environment "
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def extract(commit: str, into: str) -> None:
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+def working_tree() -> str:
+    """The id of a tree object holding the working tree as `git add -A` would stage it,
+    written through a throwaway index so that the repository's own index is untouched."""
+    with tempfile.TemporaryDirectory() as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+def extract(treeish: str, into: Path) -> None:
+    archive = subprocess.run(["git", "archive", treeish], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
@@ -139,12 +157,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+    treeishes = {"parent": commit, "change": working_tree()}
     output = Path(args.output or f"BENCH_{commit[:7]}.json")
     runs, bad, summary = [], [], {}
     environment = {"parent": None, "change": None}
-    with tempfile.TemporaryDirectory() as parent_tree:
-        extract(commit, parent_tree)
-        trees = {"parent": Path(parent_tree), "change": ROOT}
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {side: Path(scratch, side) for side in treeishes}
+        for side, tree in trees.items():
+            tree.mkdir()
+            extract(treeishes[side], tree)
         tree_digests = {side: digests(tree) for side, tree in trees.items()}
         for workload in args.workloads:
             compared = []
@@ -171,7 +192,9 @@ def main(argv=None) -> int:
                 summary[workload] = {m["name"]: summarize(compared, m)
                                      for m in BENCHMARK["end_to_end"]}
     doc = {"against": args.against, "parent_commit": commit,
-           "change": git("describe", "--always", "--dirty"), "seconds": args.seconds,
+           "parent_tree": git("rev-parse", f"{commit}^{{tree}}"),
+           "change": git("describe", "--always", "--dirty"), "change_tree": treeishes["change"],
+           "seconds": args.seconds,
            "pairs": args.pairs, "child_env": CHILD_ENV, "environment": environment,
            "digests": tree_digests,
            "bad_runs": bad,
