@@ -158,6 +158,7 @@ def main(argv=None) -> int:
 
     commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
     treeishes = {"parent": commit, "change": working_tree()}
+    change = git("describe", "--always", "--dirty")  # read with the tree, not after the runs
     output = Path(args.output or f"BENCH_{commit[:7]}.json")
     runs, bad, summary = [], [], {}
     environment = {"parent": None, "change": None}
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
                                      for m in BENCHMARK["end_to_end"]}
     doc = {"against": args.against, "parent_commit": commit,
            "parent_tree": git("rev-parse", f"{commit}^{{tree}}"),
-           "change": git("describe", "--always", "--dirty"), "change_tree": treeishes["change"],
+           "change": change, "change_tree": treeishes["change"],
            "seconds": args.seconds,
            "pairs": args.pairs, "child_env": CHILD_ENV, "environment": environment,
            "digests": tree_digests,
