@@ -415,11 +415,15 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for an int of at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names a non-int "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=["erm", "rrm", "arrm"], default=None)
     p_train.add_argument("--epsilon-test", type=float, nargs="*", default=None,
                          help="post-training FGSM attack strengths to sweep")
-    p_train.add_argument("--workers", type=_positive_int, default=1,
+    p_train.add_argument("--workers", type=_int_at_least(1), default=1,
                          help="seed-parallel worker pool size (at most one per seed)")
     p_train.set_defaults(func=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the randomized verification suites")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--lp-trials", type=_positive_int, default=1000)
-    p_verify.add_argument("--grad-trials", type=_positive_int, default=100)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--lp-trials", type=_int_at_least(1), default=1000)
+    p_verify.add_argument("--grad-trials", type=_int_at_least(1), default=100)
     p_verify.add_argument("--replay-file", default="verify_failure.json")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -7,7 +7,8 @@ so that pruning behaviour can be evaluated against ground truth.
 
 from __future__ import annotations
 
-import struct
+import math
+import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -73,11 +74,11 @@ class ContaminationKernel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError("kernel must be a square matrix")
-        if np.any(m < 0) or np.any(m > 1):
+        if not np.all((m >= 0) & (m <= 1)):  # NaN fails, as in the row sums
             raise InvalidInputError("kernel entries must lie in [0, 1]")
         if np.any(np.diag(m) != 0):
             raise InvalidInputError("kernel diagonal must be exactly 0")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-6):
+        if not np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-6):
             raise InvalidInputError("kernel rows must sum to 1")
 
     @property
@@ -89,7 +90,7 @@ class ContaminationKernel:
         """Build from possibly-rounded rows; normalizes rows within tolerance."""
         m = np.asarray(rows, dtype=float)
         sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > KERNEL_ROW_TOL):
+        if not np.all(np.abs(sums - 1.0) <= KERNEL_ROW_TOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise InvalidInputError(f"kernel row {bad} sums to {sums[bad]:.6f}, beyond tolerance")
         return cls(m / sums[:, None])
@@ -106,31 +107,38 @@ def mnist_kernel_path():
     return resources.files("rockrelax").joinpath("fixtures/mnist_confusion_kernel.txt")
 
 
-def _read_exact(f, count, path, what):
-    buf = f.read(count)
-    if len(buf) != count:
-        raise FormatError(f"{path}: truncated file while reading {what}")
-    return buf
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array in the IDX file `path`, which must begin with `magic` (low byte: rank)."""
+    rank = magic & 0xFF
+    with file_faults(path, "IDX file"), open(path, "rb") as f:
+        raw = f.read(4 * (1 + rank))
+        if len(raw) < 4 * (1 + rank):
+            raise FormatError("truncated header")
+        found, *shape = (int(v) for v in np.frombuffer(raw, ">u4"))
+        if found != magic:
+            raise FormatError(f"bad magic {found} (expected {magic})")
+        size, held = math.prod(shape), os.fstat(f.fileno()).st_size - len(raw)
+        if held < size:
+            raise FormatError(f"truncated data: {held} of the {size} bytes its header declares")
+        return np.frombuffer(f.read(size), dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path, magic: int, array: np.ndarray):
+    """Write uint8 `array` as an IDX file: `magic` and the shape as big-endian u4, then the data."""
+    with open(path, "wb") as f:
+        f.write(np.array((magic, *array.shape), dtype=">u4").tobytes())
+        f.write(array.tobytes())
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Load a big-endian IDX image/label pair; pixels scaled into [0, 1]."""
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "image header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{images_path}: bad image magic {magic} (expected {IDX_IMAGE_MAGIC})")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
-        features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{labels_path}: bad label magic {magic} (expected {IDX_LABEL_MAGIC})")
-        labels = np.frombuffer(_read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
-    if label_count != count:
-        raise FormatError(f"count mismatch: {count} images vs {label_count} labels")
-    if count == 0:
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC)
+    if labels.size != len(images):
+        raise FormatError(f"count mismatch: {len(images)} images vs {labels.size} labels")
+    if labels.size == 0:
         raise FormatError(f"{images_path}: holds no samples")
-    return features, labels.astype(np.int64)
+    return images.reshape(labels.size, -1) / 255.0, labels.astype(np.int64)
 
 
 def write_idx(images_path, labels_path, features: np.ndarray, labels: np.ndarray,
@@ -140,12 +148,8 @@ def write_idx(images_path, labels_path, features: np.ndarray, labels: np.ndarray
     if dim != rows * cols:
         raise InvalidInputError(f"feature dim {dim} != rows*cols {rows * cols}")
     pixels = np.rint(np.asarray(features) * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    _write_idx(images_path, IDX_IMAGE_MAGIC, pixels.reshape(n, rows, cols))
+    _write_idx(labels_path, IDX_LABEL_MAGIC, np.asarray(labels, dtype=np.uint8).reshape(n))
 
 
 def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
@@ -257,7 +261,7 @@ def _take(dataset: ContaminatedDataset, idx: np.ndarray) -> ContaminatedDataset:
 def split(dataset: ContaminatedDataset, fractions, seed: int):
     """Disjoint exhaustive shuffled splits; contamination bookkeeping carried through."""
     fractions = [float(f) for f in fractions]
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):  # NaN fails
         raise InvalidInputError(f"split fractions must be non-negative and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
@@ -292,27 +296,22 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
     Every fault of the file is a FormatError.  Features must be finite real
     numbers; that is checked here, once, not in every split's ContaminatedDataset.
     """
-    # np.load is given an open handle: on a truncated archive it leaves its own open
-    with file_faults(path, "dataset cache"), open(path, "rb") as f:
-        z = np.load(f, allow_pickle=False)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise FormatError("a bare array, not an npz archive")
-        with z:
-            if "version" not in z or int(z["version"]) != CACHE_VERSION:
-                raise FormatError("unsupported cache version")
-            keys = ("version", "n", "dim", "num_classes", "seed", "rate")
-            header = {k: z[k].item() for k in keys}
-            features = z["features"]
-            if features.shape != (header["n"], header["dim"]):
-                raise FormatError(f"header n={header['n']}, dim={header['dim']} disagrees with "
-                                  f"features of shape {features.shape}")
-            if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
-                raise FormatError("features must be finite real numbers")
-            dataset = ContaminatedDataset(
-                features=features,
-                observed_labels=z["observed_labels"],
-                clean_labels=z["clean_labels"],
-                contaminated_set=np.flatnonzero(z["contaminated_mask"]),
-                num_classes=int(z["num_classes"]),
-            )
+    with file_faults(path, "dataset cache"), np.lib.npyio.NpzFile(path) as z:
+        if "version" not in z or int(z["version"]) != CACHE_VERSION:
+            raise FormatError("unsupported cache version")
+        keys = ("version", "n", "dim", "num_classes", "seed", "rate")
+        header = {k: z[k].item() for k in keys}
+        features = z["features"]
+        if features.shape != (header["n"], header["dim"]):
+            raise FormatError(f"header n={header['n']}, dim={header['dim']} disagrees with "
+                              f"features of shape {features.shape}")
+        if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
+            raise FormatError("features must be finite real numbers")
+        dataset = ContaminatedDataset(
+            features=features,
+            observed_labels=z["observed_labels"],
+            clean_labels=z["clean_labels"],
+            contaminated_set=np.flatnonzero(z["contaminated_mask"]),
+            num_classes=int(z["num_classes"]),
+        )
     return dataset, header

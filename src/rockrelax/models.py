@@ -454,9 +454,7 @@ def save_checkpoint(path, model: ModelState, seed: int | None = None, extra: dic
 
 def load_checkpoint(path) -> tuple[ModelState, int | None, dict]:
     """Read a checkpoint written by save_checkpoint; any fault of the file is a FormatError."""
-    # np.load is given an open handle: on a truncated archive it leaves its own open
-    with (file_faults(path, "checkpoint"), open(path, "rb") as f,
-          np.load(f, allow_pickle=False) as z):
+    with file_faults(path, "checkpoint"), np.lib.npyio.NpzFile(path) as z:
         if "version" not in z or int(z["version"]) != CHECKPOINT_VERSION:
             raise FormatError("unsupported checkpoint version")
         arch = Architecture(tuple(int(w) for w in z["widths"]))

@@ -186,6 +186,18 @@ class TestInject:
         assert err == f"i/o error: {images}: holds no samples\n"
         assert not (tmp_path / "train_cache.npz").exists()
 
+    def test_idx_header_beyond_the_file_io_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, labels, np.zeros((6, 4)), np.array([0, 1, 2, 0, 1, 2]), rows=2, cols=2)
+        # (2^32 - 1)^3 pixels: the header is checked against the file before any read
+        images.write_bytes(np.array([2051, *[2**32 - 1] * 3], dtype=">u4").tobytes() + bytes(24))
+        doc = inject_config(tmp_path, rate=0.0, mode="none")
+        doc["source"] = {"kind": "idx", "images": str(images), "labels": str(labels)}
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: invalid IDX file {images}: truncated data: ")
+        assert not (tmp_path / "train_cache.npz").exists()
+
     @pytest.mark.parametrize("source", ["blobs", "idx"])
     @pytest.mark.parametrize("flag", [False, True], ids=["key", "flag"])
     def test_negative_seed_rejected_before_the_source_loads(self, tmp_path, capsys, source,
@@ -648,6 +660,15 @@ class TestVerify:
         assert exc.value.code == EXIT_SCHEMA
         captured = capsys.readouterr()
         assert flag in captured.err
+        assert "PASS" not in captured.out
+
+    def test_negative_seed_rejected(self, capsys):
+        # exit 2 naming the flag, as inject and train treat a negative seed
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "argument --seed: must be at least 0, got -1" in captured.err
         assert "PASS" not in captured.out
 
     def test_verify_exit_code_constant(self, monkeypatch, tmp_path, capsys):

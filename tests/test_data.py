@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -60,10 +62,34 @@ class TestIdx:
         f, labels = load_idx(tmp_path / "i", tmp_path / "l")
         assert f.max() == 1.0 and labels[0] == 3
 
+    def test_bytes_pinned(self, tmp_path):
+        pixels = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_idx(tmp_path / "i", tmp_path / "l", pixels / 255.0, np.array([2, 0, 1]),
+                  rows=2, cols=2)
+        # magic 0x00000803 (uint8, rank 3), then 3 x 2 x 2, then the pixels in row order
+        assert (tmp_path / "i").read_bytes() == bytes.fromhex(
+            "00000803" "00000003" "00000002" "00000002" "000102030405060708090a0b")
+        # magic 0x00000801 (uint8, rank 1), then 3, then the labels
+        assert (tmp_path / "l").read_bytes() == bytes.fromhex("00000801" "00000003" "020001")
+
     def test_empty_file_truncated_error(self, tmp_path):
         (tmp_path / "i").write_bytes(b"")
         (tmp_path / "l").write_bytes(b"")
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=": truncated header"):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
+    @pytest.mark.parametrize("file", ["images", "labels"])
+    def test_header_declaring_more_than_the_file_holds(self, tmp_path, file):
+        import struct
+        write_idx(tmp_path / "i", tmp_path / "l", np.zeros((2, 4)), np.zeros(2, dtype=int),
+                  rows=2, cols=2)
+        path = tmp_path / file[0]
+        if file == "images":  # (2^32 - 1)^3 pixels, which no file holds
+            path.write_bytes(struct.pack(">IIII", 2051, *[2**32 - 1] * 3) + bytes(8))
+        else:  # 3 labels, one more than the file holds
+            path.write_bytes(struct.pack(">II", 2049, 3) + bytes(2))
+        with pytest.raises(FormatError, match=f"^invalid IDX file {re.escape(str(path))}: "
+                                              "truncated data: "):
             load_idx(tmp_path / "i", tmp_path / "l")
 
     def test_bad_magic(self, tmp_path):
@@ -77,7 +103,8 @@ class TestIdx:
         import struct
         (tmp_path / "i").write_bytes(struct.pack(">IIII", 2051, 0, 28, 28))
         (tmp_path / "l").write_bytes(struct.pack(">II", 2051, 0))
-        with pytest.raises(FormatError, match="bad label magic 2051"):
+        path = re.escape(str(tmp_path / "l"))
+        with pytest.raises(FormatError, match=f"^invalid IDX file {path}: bad magic 2051 "):
             load_idx(tmp_path / "i", tmp_path / "l")
 
     def test_no_samples_rejected(self, tmp_path):
@@ -295,6 +322,16 @@ class TestKernel:
         with pytest.raises(InvalidInputError):
             ContaminationKernel.from_rows(bad)
 
+    @pytest.mark.parametrize("build,message", [
+        (ContaminationKernel, "kernel entries must lie in"),
+        (ContaminationKernel.from_rows, "kernel row 0 sums to nan"),
+    ], ids=["constructor", "from_rows"])
+    def test_nan_entry_rejected(self, build, message):
+        # a NaN entry would leave every chosen sample of its row at its true label
+        rows = [[0.0, np.nan, 1.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+        with pytest.raises(InvalidInputError, match=message):
+            build(rows)
+
     def test_rounding_slack_normalized(self):
         rows = np.array([[0.0, 0.5002, 0.4999], [0.3333, 0.0, 0.6666], [0.5, 0.5, 0.0]])
         kernel = ContaminationKernel.from_rows(rows)
@@ -415,8 +452,10 @@ class TestBlobsAndSplit:
     def test_bad_fractions(self):
         rng = np.random.default_rng(11)
         ds = toy_dataset(rng, n=10)
-        with pytest.raises(InvalidInputError):
-            split(ds, (0.5, 0.2), seed=0)
+        # NaN compares false both ways, so each check must pass a value only inside its range
+        for fractions in [(0.5, 0.2), (np.nan, 1.0), (0.5, np.nan), (np.inf, -np.inf)]:
+            with pytest.raises(InvalidInputError, match="non-negative and sum to 1"):
+                split(ds, fractions, seed=0)
 
 
 class TestCache:

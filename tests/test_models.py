@@ -988,7 +988,7 @@ class TestArchitecture:
         assert seed == 11 and meta == {"note": "unit"}
 
     @pytest.mark.parametrize("fault", [
-        "no-theta", "nan-theta", "wrong-version", "not-an-npz",
+        "no-theta", "nan-theta", "wrong-version", "not-an-npz", "bare-npy",
         # a truncated archive must not leave its file open (a ResourceWarning)
         pytest.param("truncated", marks=pytest.mark.filterwarnings("error")),
     ])
@@ -1006,6 +1006,9 @@ class TestArchitecture:
         np.savez(path, **arrays)
         if fault == "not-an-npz":
             path.write_text("theta\n0.1\n")
+        elif fault == "bare-npy":
+            with open(path, "wb") as f:
+                np.save(f, arrays["theta"])
         elif fault == "truncated":
             path.write_bytes(path.read_bytes()[:200])
         with pytest.raises(FormatError, match=f"^invalid checkpoint {re.escape(str(path))}: "):
