@@ -120,6 +120,9 @@ def _read_idx(path, magic: int) -> np.ndarray:
         size, held = math.prod(shape), os.fstat(f.fileno()).st_size - len(raw)
         if held < size:
             raise FormatError(f"truncated data: {held} of the {size} bytes its header declares")
+        if held > size:
+            raise FormatError(f"trailing data: {held - size} bytes after the {size} "
+                              "its header declares")
         return np.frombuffer(f.read(size), dtype=np.uint8).reshape(shape)
 
 
@@ -143,13 +146,27 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_idx(images_path, labels_path, features: np.ndarray, labels: np.ndarray,
               rows: int = 28, cols: int = 28):
-    """Write an IDX pair; features in [0, 1] are quantized back to bytes."""
+    """Write an IDX pair; features in [0, 1] are quantized back to bytes.
+
+    Features outside [0, 1] (NaN included) and labels that are not integers
+    in [0, 255] raise InvalidInputError before either file is written.
+    """
+    features, labels = np.asarray(features, dtype=float), np.asarray(labels)
     n, dim = features.shape
     if dim != rows * cols:
         raise InvalidInputError(f"feature dim {dim} != rows*cols {rows * cols}")
-    pixels = np.rint(np.asarray(features) * 255.0).astype(np.uint8)
+    # written so that NaN fails: every comparison with NaN is False
+    if not (features.size == 0 or (features.min() >= 0.0 and features.max() <= 1.0)):
+        raise InvalidInputError("features must lie in [0, 1], got values outside it or NaN")
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
+        raise InvalidInputError(f"expected {n} integer labels, got an array of dtype "
+                                f"{labels.dtype} and shape {labels.shape}")
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 255):
+        raise InvalidInputError(f"labels must lie in [0, 255], "
+                                f"got [{labels.min()}, {labels.max()}]")
+    pixels = np.rint(features * 255.0).astype(np.uint8)
     _write_idx(images_path, IDX_IMAGE_MAGIC, pixels.reshape(n, rows, cols))
-    _write_idx(labels_path, IDX_LABEL_MAGIC, np.asarray(labels, dtype=np.uint8).reshape(n))
+    _write_idx(labels_path, IDX_LABEL_MAGIC, labels.astype(np.uint8))
 
 
 def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:

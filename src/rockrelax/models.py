@@ -22,17 +22,28 @@ full-set loss pass (`_losses`) shares the softmax's matmuls, copy, maximum,
 exp and class total; for CCE it then divides only each row's label entry by
 its total, so it forms no (n, k) probability matrix.
 
-Full-set passes (`_logits`) write each hidden layer's activations into a
-per-thread workspace of two slots, used alternately by successive hidden
-layers, whenever the (n, width) array takes at most `SCRATCH_MAX_BYTES`;
-larger activations are freshly allocated.  Reusing the memory spares the
-page faults that a fresh array of that size costs on every call.  The
-workspace holds hidden activations only: the logits, their class-major
-copy and every array a function returns are fresh, so no result aliases
-it.  Each thread's slots grow to the largest activation it has passed
-(at most twice the cap in all) and are never freed.  A C-order
-`np.matmul(..., out=)` gives the bytes of `h @ w`, so results are
-bit-identical to fresh allocation.
+Full-set passes (`_logits`) keep hidden activations in a per-thread
+workspace of two slots, used alternately by successive hidden layers.  A
+set whose widest hidden activation takes at most `SCRATCH_MAX_BYTES` runs
+through every hidden layer at once, each layer writing into a slot.  A
+larger set runs through the hidden layers in the fewest row blocks of
+near-equal size that fit the cap: each block's non-final hidden layers
+write into the slots, and its last hidden layer writes into its rows of
+one fresh (n, width) array.  So a pass allocates one hidden activation
+instead of one per layer, and each gemm reads back a block that the
+previous one has just written.  The logits gemm runs once over the whole
+last activation, since a gemm with few output columns rounds differently
+with the number of rows it is given.  A hidden-layer gemm gives each row
+the same bytes in any block of more than three rows on the recorded BLAS
+build (`tests/test_models.py` pins that; a one-row product takes another
+path), and near-equal blocks leave no short remainder, so blocked passes
+are bit-identical to unblocked ones.  Reusing the memory spares the page
+faults that a fresh array costs on every call.  The workspace holds hidden
+activations only: the logits, their class-major copy and every array a
+function returns are fresh, so no result aliases it.  Each thread's slots
+grow to the largest activation it has passed (at most twice the cap in
+all) and are never freed.  A C-order `np.matmul(..., out=)` gives the
+bytes of `h @ w`.
 """
 
 from __future__ import annotations
@@ -57,8 +68,12 @@ MNIST3_WIDTHS = (784, 320, 320, 200, 3)
 CLASS_MAJOR_MAX_K = 7
 
 # Largest hidden activation, in bytes, that a full-set pass writes into its
-# thread's workspace instead of a fresh array (module docstring).
-SCRATCH_MAX_BYTES = 1 << 20
+# thread's workspace; it sets the row blocks of larger sets (module docstring).
+# 1,638 rows of a 320-wide layer.  On a 2-vCPU Xeon VM (2 MiB L2 per core,
+# OpenBLAS on 2 threads), full-set loss passes at MNIST3_WIDTHS ran faster with
+# 2-4 MiB blocks than with 1 or 8 MiB ones; 1 MiB blocks gave no gain on
+# passes of 3,000-4,000 rows.
+SCRATCH_MAX_BYTES = 1 << 22
 
 # Per-thread workspace of `_logits`: `slots` holds two flat float64 arrays.
 _workspace = threading.local()
@@ -191,13 +206,13 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a @ a) or bool(np.all(np.isfinite(a)))
 
 
-def _scratch(slot: int, shape: tuple[int, int]) -> np.ndarray | None:
+def _scratch(slot: int, shape: tuple[int, int]) -> np.ndarray:
     """A C-order float64 array of `shape` in this thread's workspace slot, or
-    None when it would take more than SCRATCH_MAX_BYTES.  A slot is replaced
-    by a larger one only when `shape` does not fit it."""
+    a fresh one when it would take more than SCRATCH_MAX_BYTES.  A slot is
+    replaced by a larger one only when `shape` does not fit it."""
     size = shape[0] * shape[1]
     if size * 8 > SCRATCH_MAX_BYTES:
-        return None
+        return np.empty(shape)
     slots = getattr(_workspace, "slots", None)
     if slots is None:
         slots = _workspace.slots = [np.empty(0), np.empty(0)]
@@ -210,11 +225,22 @@ def _logits(mats, x: np.ndarray) -> np.ndarray:
     """(k, n) logits of an unchecked full set: a C-order class-major copy for
     k <= CLASS_MAJOR_MAX_K, else the transposed view of C-order (n, k) logits.
 
-    Hidden activations go to the thread's workspace when they fit it."""
-    h = x
-    for i, w in enumerate(mats[:-1]):
-        h = np.matmul(h, w, out=_scratch(i % 2, (h.shape[0], w.shape[1])))
-        np.maximum(h, 0.0, out=h)
+    The hidden layers run in row blocks when the set exceeds one block."""
+    h, hidden = x, mats[:-1]
+    if hidden:
+        n, widest = x.shape[0], max(w.shape[1] for w in hidden)
+        # the fewest row blocks of near-equal size whose activations fit the cap
+        blocks = -(-n // max(1, SCRATCH_MAX_BYTES // (8 * widest)))
+        last = (n, hidden[-1].shape[1])
+        h = _scratch((len(hidden) - 1) % 2, last) if blocks <= 1 else np.empty(last)
+        for b in range(blocks):
+            rows = slice(n * b // blocks, n * (b + 1) // blocks)
+            a = x[rows]
+            for i, w in enumerate(hidden[:-1]):
+                a = np.matmul(a, w, out=_scratch(i % 2, (a.shape[0], w.shape[1])))
+                np.maximum(a, 0.0, out=a)
+            a = np.matmul(a, hidden[-1], out=h[rows])
+            np.maximum(a, 0.0, out=a)
     z = (h @ mats[-1]).T
     if z.shape[0] <= CLASS_MAJOR_MAX_K:
         # rebinding frees the row-major logits before the exp

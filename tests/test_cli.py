@@ -198,6 +198,18 @@ class TestInject:
         assert err.startswith(f"i/o error: invalid IDX file {images}: truncated data: ")
         assert not (tmp_path / "train_cache.npz").exists()
 
+    def test_idx_bytes_after_the_data_io_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, labels, np.zeros((6, 4)), np.array([0, 1, 2, 0, 1, 2]), rows=2, cols=2)
+        labels.write_bytes(labels.read_bytes() + b"\x01\x02")
+        doc = inject_config(tmp_path, rate=0.0, mode="none")
+        doc["source"] = {"kind": "idx", "images": str(images), "labels": str(labels)}
+        assert main(["inject", "--config", write_json(tmp_path / "i.json", doc)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == (f"i/o error: invalid IDX file {labels}: "
+                       "trailing data: 2 bytes after the 6 its header declares\n")
+        assert not (tmp_path / "train_cache.npz").exists()
+
     @pytest.mark.parametrize("source", ["blobs", "idx"])
     @pytest.mark.parametrize("flag", [False, True], ids=["key", "flag"])
     def test_negative_seed_rejected_before_the_source_loads(self, tmp_path, capsys, source,

@@ -72,6 +72,42 @@ class TestIdx:
         # magic 0x00000801 (uint8, rank 1), then 3, then the labels
         assert (tmp_path / "l").read_bytes() == bytes.fromhex("00000801" "00000003" "020001")
 
+    @pytest.mark.parametrize("value", [2.0, -0.5, 1.0 + 1e-9, np.nan, np.inf])
+    def test_features_outside_unit_interval_rejected_before_writing(self, tmp_path, value):
+        # 2.0 and -0.5 would wrap to 254 and 128; NaN would become 0
+        features = np.full((2, 4), 0.5)
+        features[1, 2] = value
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+            write_idx(tmp_path / "i", tmp_path / "l", features, np.array([0, 1]), rows=2, cols=2)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [[0, 256], [-1, 0], [0.0, 1.0], [0, 1, 2], [[0], [1]]],
+                             ids=["256", "negative", "float", "too-many", "2-d"])
+    def test_labels_outside_a_byte_rejected_before_writing(self, tmp_path, labels):
+        # 256 and -1 would wrap to 0 and 255
+        with pytest.raises(InvalidInputError, match="labels"):
+            write_idx(tmp_path / "i", tmp_path / "l", np.zeros((2, 4)), np.array(labels),
+                      rows=2, cols=2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_label_255_and_zero_features_roundtrip(self, tmp_path):
+        write_idx(tmp_path / "i", tmp_path / "l", np.zeros((1, 4)), np.array([255]),
+                  rows=2, cols=2)
+        f, labels = load_idx(tmp_path / "i", tmp_path / "l")
+        assert f.max() == 0.0 and labels.tolist() == [255]
+
+    @pytest.mark.parametrize("file", ["images", "labels"])
+    def test_bytes_after_the_declared_data_rejected(self, tmp_path, file):
+        write_idx(tmp_path / "i", tmp_path / "l", np.zeros((2, 4)), np.zeros(2, dtype=int),
+                  rows=2, cols=2)
+        path = tmp_path / file[0]
+        path.write_bytes(path.read_bytes() + bytes(3))
+        size = 8 if file == "images" else 2
+        with pytest.raises(FormatError, match=f"^invalid IDX file {re.escape(str(path))}: "
+                                              f"trailing data: 3 bytes after the {size} "
+                                              "its header declares$"):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
     def test_empty_file_truncated_error(self, tmp_path):
         (tmp_path / "i").write_bytes(b"")
         (tmp_path / "l").write_bytes(b"")

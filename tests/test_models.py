@@ -27,6 +27,7 @@ from rockrelax.models import (
     save_checkpoint,
 )
 from rockrelax.trainer import accuracy
+from test_trajectory_hash import skip_on_other_fingerprint
 
 ALL_KINDS = [LossKind.CCE, LossKind.MAE, LossKind.MSE]
 
@@ -506,9 +507,10 @@ class TestLossPass:
 
 
 # Full-set passes write hidden activations into a per-thread workspace up to
-# SCRATCH_MAX_BYTES.  A hidden width of 64 reaches the cap at exactly 2,048
-# rows; the 32-wide layer of the three-layer net stays below it at 2,049.
-SCRATCH_ROWS = {"below": 1920, "at": 2048, "above": 2049}
+# SCRATCH_MAX_BYTES.  A hidden width of 64 reaches the cap at exactly BLOCK_64
+# rows (8,192 at 4 MiB), so one row more runs as two blocks of near-equal size.
+BLOCK_64 = SCRATCH_MAX_BYTES // (8 * 64)
+SCRATCH_ROWS = {"below": BLOCK_64 - 128, "at": BLOCK_64, "above": BLOCK_64 + 1}
 SCRATCH_HIDDEN = [(), (64,), (64, 64), (64, 32, 64)]
 
 
@@ -523,19 +525,20 @@ def assert_apart_from_scratch(*arrays):
 
 
 def fresh_allocation(monkeypatch, call):
-    """`call()` with every hidden activation freshly allocated."""
+    """`call()` in a single block, with every hidden activation freshly allocated."""
     with monkeypatch.context() as m:
-        m.setattr(models, "SCRATCH_MAX_BYTES", -1)
+        m.setattr(models, "SCRATCH_MAX_BYTES", 1 << 62)
+        m.setattr(models, "_scratch", lambda slot, shape: np.empty(shape))
         return call()
 
 
 def count_scratch_uses(monkeypatch):
-    """A list that records each scratch array `_logits` is handed."""
+    """A list that records the shape of each workspace array `_logits` is handed."""
     uses, scratch = [], models._scratch
 
     def spy(slot, shape):
         out = scratch(slot, shape)
-        if out is not None:
+        if any(np.shares_memory(out, s) for s in held_scratch()):
             uses.append(shape)
         return out
     monkeypatch.setattr(models, "_scratch", spy)
@@ -571,9 +574,13 @@ class TestScratchWorkspace:
         assert probs.tobytes() == want_probs.tobytes() and probs.flags.c_contiguous
         assert loss.tobytes() == want_loss.tobytes()
         assert np.array_equal(probs, forward_oracle(model, x))
-        # each pass hands out scratch for every hidden layer that fits the cap
-        fits = [(rows, w) for w in hidden if rows * w * 8 <= SCRATCH_MAX_BYTES]
-        assert uses == fits * 2
+        # a pass of one block hands out scratch for every hidden layer; a pass of
+        # two blocks, for each block's non-final hidden layers
+        if rows <= BLOCK_64:
+            assert sorted(uses) == sorted([(rows, w) for w in hidden] * 2)
+        else:
+            halves = (rows // 2, rows - rows // 2)
+            assert uses == [(b, w) for b in halves for w in hidden[:-1]] * 2
         assert_apart_from_scratch(probs, loss)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -599,6 +606,7 @@ class TestScratchWorkspace:
             first = held_scratch()
             _losses(model, x, y, LossKind.CCE)
             forward(model, x[:100])  # a smaller pass fits the same slots
+            forward(model, np.tile(x, (3, 1)))  # and so do the three blocks of its rows
             return first, held_scratch()
         first, after = in_new_thread(passes)
         assert [s.nbytes for s in first] == [x.shape[0] * w * 8 for w in (64, 32)]
@@ -629,9 +637,10 @@ class TestScratchWorkspace:
 
     def test_three_threads_reproduce_single_thread_bytes(self):
         rng = np.random.default_rng(114)
+        # the last case runs in three blocks: 48-wide layers fill the cap at 4/3 BLOCK_64 rows
         cases = [(small_model(rng, widths), rng.uniform(-3.0, 3.0, size=(rows, 6)))
                  for widths, rows in (((6, 64, 3), 1920), ((6, 64, 32, 64, 8), 2048),
-                                      ((6, 48, 48, 5), 700))]
+                                      ((6, 48, 48, 5), 2 * BLOCK_64 * 4 // 3 + 500))]
         cases = [(m, x, rng.integers(0, m.architecture.num_classes, size=x.shape[0]))
                  for m, x in cases]
 
@@ -663,6 +672,39 @@ class TestScratchWorkspace:
         held = [s for i in slots for s in slots[i]]
         assert all(sum(s.nbytes for s in slots[i]) <= 2 * SCRATCH_MAX_BYTES for i in slots)
         assert not any(np.shares_memory(a, b) for j, a in enumerate(held) for b in held[j + 1:])
+
+
+def block_rows(widths):
+    """Most rows per block of a full-set pass at `widths` (module docstring)."""
+    return SCRATCH_MAX_BYTES // (8 * max(widths[1:-1]))
+
+
+WIDE_WIDTHS = [MNIST3_WIDTHS, (784, 512, 10)]
+
+
+class TestBlockedPassMatchesPlainChain:
+    """Full sets of more than one block give the bytes of the unblocked chain.
+
+    A hidden-layer gemm rounds each row alike in any block of more than a few
+    rows only on some BLAS builds, so these tests skip on any environment but
+    the one that recorded the trajectory goldens.
+    """
+
+    @pytest.mark.parametrize("widths", WIDE_WIDTHS, ids=lambda w: "-".join(map(str, w)))
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "3B+ragged"])
+    def test_forward_losses_and_accuracy(self, widths, offset):
+        skip_on_other_fingerprint()
+        rows = block_rows(widths)
+        n = 3 * rows + rows // 3 if offset == "3B+ragged" else rows + offset
+        rng = np.random.default_rng(120 + n)
+        model = init_params(Architecture(widths), seed=n)
+        x = rng.uniform(size=(n, widths[0]))
+        y = rng.integers(0, widths[-1], size=n)
+        want = forward_oracle(model, x)
+        assert forward(model, x).tobytes() == want.tobytes()
+        for kind in ALL_KINDS:
+            assert _losses(model, x, y, kind).tobytes() == loss_per_sample(want, y, kind).tobytes()
+        assert accuracy(model, x, y) == float(np.mean(want.argmax(axis=1) == y))
 
 
 def read_only(*arrays):
