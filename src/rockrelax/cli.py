@@ -256,7 +256,8 @@ def cmd_train(args) -> int:
         _require(doc, key)
     # every seed shares these, so a bad value fails the run once, before any seed starts
     seeds = [args.seed] if args.seed is not None else doc.get("seeds", [0])
-    epsilon_test = args.epsilon_test or doc.get("epsilon_test", [])
+    epsilon_test = (args.epsilon_test if args.epsilon_test is not None
+                    else doc.get("epsilon_test", []))
     val_frac = doc.get("validation_fraction", 0.2)
     with _config_values("config.train"):
         config = _train_config(doc, args.mode)

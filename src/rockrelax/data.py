@@ -148,10 +148,13 @@ def write_idx(images_path, labels_path, features: np.ndarray, labels: np.ndarray
               rows: int = 28, cols: int = 28):
     """Write an IDX pair; features in [0, 1] are quantized back to bytes.
 
-    Features outside [0, 1] (NaN included) and labels that are not integers
-    in [0, 255] raise InvalidInputError before either file is written.
+    Features that are not a 2-d array in [0, 1] (NaN included) and labels
+    that are not integers in [0, 255] raise InvalidInputError before either
+    file is written.
     """
     features, labels = np.asarray(features, dtype=float), np.asarray(labels)
+    if features.ndim != 2:
+        raise InvalidInputError(f"features must be a 2-d array, got shape {features.shape}")
     n, dim = features.shape
     if dim != rows * cols:
         raise InvalidInputError(f"feature dim {dim} != rows*cols {rows * cols}")

@@ -14,6 +14,7 @@ probability mass is spread uniformly over the minimum-loss samples.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,12 @@ class LossPartition:
         return self.chi.size / self.n
 
 
+def _check_real(name: str, value) -> None:
+    """Raise InvalidInputError unless `value` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReweightConfig:
     """Hyperparameters of the re-weighting step.
@@ -125,6 +132,10 @@ class ReweightConfig:
     contamination_estimate: float | None = None
 
     def __post_init__(self):
+        _check_real("gamma", self.gamma)
+        _check_real("mu", self.mu)
+        if self.contamination_estimate is not None:
+            _check_real("contamination_estimate", self.contamination_estimate)
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
         if not 0 < self.mu <= 1:

@@ -34,6 +34,7 @@ from rockrelax.reweight import (
     LossPartition,
     ReweightConfig,
     WeightShift,
+    _check_real,
     auto_tune_gamma,
     blend_weights,
     partition_losses,
@@ -84,6 +85,10 @@ class TrainConfig:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.loss_kind, LossKind):
             raise InvalidInputError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
+        if not isinstance(self.reweight, ReweightConfig):
+            raise InvalidInputError(f"reweight must be a ReweightConfig, got {self.reweight!r}")
+        _check_real("epsilon_train", self.epsilon_train)
+        _check_real("learning_rate", self.learning_rate)
         if not 0 <= self.epsilon_train <= 1:
             raise InvalidInputError(f"epsilon_train must lie in [0, 1], got {self.epsilon_train}")
         if (self.mode == "arrm") != (self.epsilon_train > 0):

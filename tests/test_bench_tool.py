@@ -89,22 +89,28 @@ ENV = {"git_commit": None, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.
        "blas": "scipy-openblas 0.3.30", "blas_threads": 2, "nproc": 2, "dtype": "float64"}
 
 
-def test_bench_once_reads_the_last_line_in_the_child_environment(tmp_path):
+def test_bench_once_runs_the_benchmark_command_in_the_callers_environment(tmp_path,
+                                                                         monkeypatch):
     # a stand-in perfbench/run.py that prints its environment line, as run.py does, and
-    # reports the environment variable it was given
+    # reports its command line and the environment it was given
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json, os, sys\n"
         "print('a metric line')\n"
         f"print('environment ' + json.dumps({ENV!r} | {{'workload': sys.argv[2]}}))\n"
-        "print(json.dumps({'argv': sys.argv[1:],"
-        " 'threshold': os.environ.get('MALLOC_MMAP_THRESHOLD_')}))\n")
-    before = os.environ.get("MALLOC_MMAP_THRESHOLD_")
+        "print(json.dumps({'argv': sys.orig_argv, 'marker': os.environ.get('BENCH_TEST_MARKER'),"
+        " 'threshold': os.environ.get('MALLOC_MMAP_THRESHOLD_', 'unset')}))\n")
+    monkeypatch.setenv("BENCH_TEST_MARKER", "from the caller")
+    monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
     out = bench.bench_once(tmp_path, "blob-gate", 7, 1.5)
-    assert out == {"argv": ["--workload", "blob-gate", "--seed", "7", "--seconds", "1.5",
-                            "--trace", "0"], "threshold": "131072",
+    # the interpreter may report itself by its full path
+    interpreter, *args = out.pop("argv")
+    command = bench.BENCHMARK["command"]
+    assert Path(interpreter).name == command[0]
+    assert args == [*command[1:], "--workload", "blob-gate", "--seed", "7", "--seconds", "1.5",
+                    "--trace", "0"]
+    assert out == {"marker": "from the caller", "threshold": "unset",
                    "environment": ENV | {"workload": "blob-gate"}}
-    assert os.environ.get("MALLOC_MMAP_THRESHOLD_") == before
     (tmp_path / "perfbench" / "run.py").write_text("print('{}')\n")
     assert bench.bench_once(tmp_path, "blob-gate", 7, 1.5) == {"environment": None}
     (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
@@ -178,6 +184,16 @@ def test_pairs_alternate_and_a_bad_run_fails_the_tool(tmp_path, monkeypatch):
     assert doc["summary"]["w1"]["rrm_run_s"]["wins"] == 3
     assert doc["summary"]["w1"]["rrm_run_s"]["ratios"] == [0.5, 0.5, 0.5]
     assert len(doc["runs"]) == 12
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_a_usage_error(tmp_path, monkeypatch, capsys, pairs):
+    monkeypatch.setattr(bench, "git", lambda *args: pytest.fail("ran git"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--against", "HEAD", "--pairs", pairs, "--output", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"argument --pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git on PATH")

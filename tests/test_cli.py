@@ -270,6 +270,17 @@ class TestTrain:
         agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
         assert agg["mode"] == "erm" and agg["seeds"] == [5]
 
+    @pytest.mark.parametrize("flag,swept", [([], None), (["0.2"], {"0.2"})])
+    def test_epsilon_test_flag_replaces_the_config_sweep(self, caches, flag, swept):
+        # the config sweeps [0.0, 0.1]; the bare flag turns the sweep off
+        cfg = write_json(caches / "train.json", train_config(caches))
+        assert main(["train", "--config", cfg, "--seed", "0", "--epsilon-test", *flag]) == EXIT_OK
+        out = caches / "runs" / "rrm"
+        summary = json.loads((out / "seed_0" / "summary.json").read_text())
+        agg = json.loads((out / "aggregate.json").read_text())
+        for doc, key in ((summary, "epsilon_test_accuracy"), (agg, "epsilon_test_accuracy_mean")):
+            assert (set(doc[key]) if key in doc else None) == swept
+
     def test_checkpoint_is_the_reported_model(self, caches):
         doc = train_config(caches)
         # with these settings validation peaks before the last iteration on both seeds

@@ -90,6 +90,13 @@ class TestIdx:
                       rows=2, cols=2)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_features_not_2d_rejected_before_writing(self, tmp_path, shape):
+        with pytest.raises(InvalidInputError, match="features must be a 2-d array, got shape"):
+            write_idx(tmp_path / "i", tmp_path / "l", np.zeros(shape), np.array([0, 1]),
+                      rows=2, cols=2)
+        assert list(tmp_path.iterdir()) == []
+
     def test_label_255_and_zero_features_roundtrip(self, tmp_path):
         write_idx(tmp_path / "i", tmp_path / "l", np.zeros((1, 4)), np.array([255]),
                   rows=2, cols=2)

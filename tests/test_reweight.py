@@ -488,3 +488,9 @@ class TestConfig:
             ReweightConfig(mu=0.0)
         with pytest.raises(InvalidInputError):
             ReweightConfig(contamination_estimate=1.5)
+
+    @pytest.mark.parametrize("name", ["gamma", "mu", "contamination_estimate"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_float_fields_must_be_real_numbers(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be a real number, got {value!r}"):
+            ReweightConfig(**{name: value})

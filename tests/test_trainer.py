@@ -131,6 +131,13 @@ class TestConfig:
         ("rrm", {"patience": 1.5}, "patience must be an integer, got 1.5"),
         ("rrm", {"batch_size": True}, "batch_size must be an integer, got True"),
         ("rrm", {"learning_rate": float("inf")}, "learning rate must be finite, got inf"),
+        # float fields are real numbers (not bools), and reweight is a ReweightConfig
+        ("rrm", {"learning_rate": True}, "learning_rate must be a real number, got True"),
+        ("rrm", {"learning_rate": "0.1"}, "learning_rate must be a real number, got '0.1'"),
+        ("arrm", {"epsilon_train": True}, "epsilon_train must be a real number, got True"),
+        ("rrm", {"reweight": None}, "reweight must be a ReweightConfig, got None"),
+        ("rrm", {"reweight": {"gamma": 0.4}},
+         r"reweight must be a ReweightConfig, got \{'gamma': 0.4\}"),
     ])
     def test_value_out_of_range_rejected(self, mode, kw, message):
         with pytest.raises(InvalidInputError, match=message):

@@ -12,11 +12,9 @@ files.  The repository's own index is left as it is.  On a clean checkout,
 `--against HEAD` therefore runs the same files on both sides: an A/A run, which
 measures the noise floor of the gain rule.
 
-Each pair runs `perfbench/run.py --trace 0` once in each tree with the same seed:
-pair i uses seed i, and pairs alternate which side runs first, the parent in even
-pairs.  The children run with `MALLOC_MMAP_THRESHOLD_=131072`, so that glibc's
-adaptive mmap threshold cannot drift differently in the two processes; this
-process's own environment is left as it is.
+Each pair runs `BENCHMARK.json`'s `command` with `--trace 0` once in each tree with
+the same seed: pair i uses seed i, and pairs alternate which side runs first, the
+parent in even pairs.  The children inherit this process's environment unchanged.
 
 The output holds every run's end-to-end metrics and, per workload and metric
 of `BENCHMARK.json`, both sides' medians and quartiles, the change/parent
@@ -25,9 +23,9 @@ direction (ties count for neither), how much worse the change's median is
 than the parent's (a share of the parent's median; compare it with the
 metric's `bound`), and `gain`: whether the change won at least nine tenths
 of the pairs and its median beats the parent's by more than the parent's
-interquartile range.  `environment` holds each side's environment line of
-`perfbench/run.py` (git commit, Python, numpy, scipy, BLAS, `blas_threads`,
-`nproc`, dtype), as its first run printed it, without the workload and seed.
+interquartile range.  `environment` holds each side's environment line (git
+commit, Python, numpy, scipy, BLAS, `blas_threads`, `nproc`, dtype), as its
+first run printed it, without the workload and seed.
 Neither tree is a git work tree, so both sides' `git_commit` reads null;
 `parent_commit`, `parent_tree` and `change_tree` name what ran, and equal
 tree ids mean both sides ran the same files.  `digests` holds each tree's
@@ -54,7 +52,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 ENV_PREFIX = "environment "
 
 
@@ -90,12 +87,12 @@ def digests(tree: Path) -> dict | None:
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in `tree`: its result line, with its environment
-    line under `environment` (None when it printed none), or why it has none."""
+    """One untraced run of the benchmark's command in `tree`: its result line, with its
+    environment line under `environment` (None when it printed none), or why it has none."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env={**os.environ, **CHILD_ENV}, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -155,6 +152,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
+    if args.pairs < 1:  # no pair is no evidence
+        parser.error(f"argument --pairs: must be at least 1, got {args.pairs}")
 
     commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
     treeishes = {"parent": commit, "change": working_tree()}
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
            "parent_tree": git("rev-parse", f"{commit}^{{tree}}"),
            "change": change, "change_tree": treeishes["change"],
            "seconds": args.seconds,
-           "pairs": args.pairs, "child_env": CHILD_ENV, "environment": environment,
+           "pairs": args.pairs, "environment": environment,
            "digests": tree_digests,
            "bad_runs": bad,
            "summary": summary, "runs": runs}
