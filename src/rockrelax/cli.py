@@ -40,7 +40,8 @@ from rockrelax.data import (
 from rockrelax.errors import FormatError, InvalidInputError, SchemaError, file_faults
 from rockrelax.models import Architecture, LossKind, save_checkpoint
 from rockrelax.reweight import ReweightConfig
-from rockrelax.trainer import BUCKET_LABELS, TrainConfig, _check_fits, evaluate_fgsm_sweep, run
+from rockrelax.trainer import (BUCKET_LABELS, MODES, TrainConfig, _check_fits,
+                               evaluate_fgsm_sweep, run)
 from rockrelax.verify import run_all
 
 EXIT_OK = 0
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, default=None,
                          help="override the config seed list with a single seed")
-    p_train.add_argument("--mode", choices=["erm", "rrm", "arrm"], default=None)
+    p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--epsilon-test", type=float, nargs="*", default=None,
                          help="post-training FGSM attack strengths to sweep")
     p_train.add_argument("--workers", type=_int_at_least(1), default=1,

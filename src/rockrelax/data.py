@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from rockrelax.errors import FormatError, InvalidInputError, file_faults
+from rockrelax.errors import FormatError, InvalidInputError, check_count, check_real, file_faults
 from rockrelax.models import _check_labels
 
 IDX_IMAGE_MAGIC = 2051
@@ -38,6 +38,9 @@ class ContaminatedDataset:
     num_classes: int
 
     def __post_init__(self):
+        object.__setattr__(self, "num_classes", check_count("num_classes", self.num_classes, 0))
+        if np.ndim(self.features) != 2:
+            raise InvalidInputError(f"features must be 2-d, got shape {np.shape(self.features)}")
         for labels in (self.observed_labels, self.clean_labels):
             _check_labels(labels, self.num_classes, self.n)
         differs = np.flatnonzero(self.observed_labels != self.clean_labels)
@@ -60,7 +63,7 @@ class ContaminatedDataset:
     def clean(cls, features, labels, num_classes) -> "ContaminatedDataset":
         labels = np.asarray(labels)
         return cls(np.asarray(features, dtype=float), labels, labels.copy(),
-                   np.empty(0, dtype=int), int(num_classes))
+                   np.empty(0, dtype=int), num_classes)
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,10 @@ def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
 
     Every kept id must be a class of `dataset`, in [0, num_classes).
     """
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(check_count("kept class id", k, 0) for k in keep))
     if not keep:
         raise InvalidInputError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= dataset.num_classes:
+    if keep[-1] >= dataset.num_classes:
         raise InvalidInputError(
             f"kept class ids must lie in [0, {dataset.num_classes}), got {keep}")
     mask = np.isin(dataset.clean_labels, keep)
@@ -201,6 +204,8 @@ def subset_classes(dataset: ContaminatedDataset, keep) -> ContaminatedDataset:
 def _choose_flips(labels, rate: float, num_classes: int, seed: int):
     """The checked int64 labels, the sorted ids of the round(rate*N) samples to flip,
     and the generator, seeded by `seed`, that the flipped labels are then drawn from."""
+    check_count("num_classes", num_classes, 1)
+    check_real("rate", rate)
     labels = np.asarray(labels)
     _check_labels(labels, num_classes, labels.size)
     labels = labels.astype(np.int64, copy=False)
@@ -250,8 +255,10 @@ def inject_kernel(labels, rate: float, kernel: ContaminationKernel,
 def make_synthetic_blobs(num_classes: int, samples_per_class: int, input_dim: int,
                          separation: float, seed: int) -> ContaminatedDataset:
     """Gaussian clusters at distinct means; clean labels, deterministic in seed."""
-    if num_classes < 1 or samples_per_class < 1 or input_dim < 1:
-        raise InvalidInputError("counts must be positive")
+    for name, count in (("num_classes", num_classes), ("samples_per_class", samples_per_class),
+                        ("input_dim", input_dim)):
+        check_count(name, count, 1)
+    check_real("separation", separation)
     if not separation > 0:
         raise InvalidInputError(f"separation must be positive, got {separation}")
     rng = np.random.default_rng(seed)
@@ -268,18 +275,17 @@ def make_synthetic_blobs(num_classes: int, samples_per_class: int, input_dim: in
 
 
 def _take(dataset: ContaminatedDataset, idx: np.ndarray) -> ContaminatedDataset:
-    mask = dataset.contamination_mask()[idx]
-    return ContaminatedDataset(
-        features=dataset.features[idx],
-        observed_labels=dataset.observed_labels[idx],
-        clean_labels=dataset.clean_labels[idx],
-        contaminated_set=np.flatnonzero(mask),
-        num_classes=dataset.num_classes,
-    )
+    return replace(dataset, features=dataset.features[idx],
+                   observed_labels=dataset.observed_labels[idx],
+                   clean_labels=dataset.clean_labels[idx],
+                   contaminated_set=np.flatnonzero(dataset.contamination_mask()[idx]))
 
 
 def split(dataset: ContaminatedDataset, fractions, seed: int):
     """Disjoint exhaustive shuffled splits; contamination bookkeeping carried through."""
+    fractions = list(fractions)
+    for f in fractions:
+        check_real("split fraction", f)
     fractions = [float(f) for f in fractions]
     if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):  # NaN fails
         raise InvalidInputError(f"split fractions must be non-negative and sum to 1, got {fractions}")
@@ -327,11 +333,6 @@ def load_cache(path) -> tuple[ContaminatedDataset, dict]:
                               f"features of shape {features.shape}")
         if features.dtype.kind not in "iuf" or not np.isfinite(features).all():
             raise FormatError("features must be finite real numbers")
-        dataset = ContaminatedDataset(
-            features=features,
-            observed_labels=z["observed_labels"],
-            clean_labels=z["clean_labels"],
-            contaminated_set=np.flatnonzero(z["contaminated_mask"]),
-            num_classes=int(z["num_classes"]),
-        )
+        dataset = ContaminatedDataset(features, z["observed_labels"], z["clean_labels"],
+                                      np.flatnonzero(z["contaminated_mask"]), header["num_classes"])
     return dataset, header

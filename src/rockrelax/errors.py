@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and `file_faults`, the one rule
-that makes any fault of reading a file a FormatError naming that file."""
+"""Exception types shared across the package, and the rules every caller shares:
+`check_count` and `check_real` for the counts and reals that enter the library,
+and `file_faults`, which makes any fault of reading a file a FormatError naming
+that file."""
 
+import numbers
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -28,6 +31,24 @@ class NumericError(RockrelaxError, ArithmeticError):
 
 class UnsupportedScaleError(RockrelaxError, ValueError):
     """A verification-only routine was called beyond its supported size."""
+
+
+def check_count(name: str, value, low: int) -> int:
+    """`value` as a Python int; InvalidInputError unless it is an integer (not a bool) >= `low`.
+
+    A numpy integer is accepted, and returned as an int so that it echoes as JSON.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value) -> None:
+    """Raise InvalidInputError unless `value` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 @contextmanager

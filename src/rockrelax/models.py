@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rockrelax.errors import FormatError, InvalidInputError, NumericError, file_faults
+from rockrelax.errors import FormatError, InvalidInputError, NumericError, check_count, file_faults
 
 # Probability floor applied before log in the cross-entropy loss.
 CCE_CLAMP = 1e-12
@@ -97,9 +97,9 @@ class Architecture:
     _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise InvalidInputError(f"need at least input and output widths >= 1, got {self.widths}")
+        object.__setattr__(self, "widths", tuple(check_count("width", w, 1) for w in self.widths))
+        if len(self.widths) < 2:
+            raise InvalidInputError(f"need at least input and output widths, got {self.widths}")
         out, offset = [], 0
         for a, b in zip(self.widths[:-1], self.widths[1:]):
             out.append((slice(offset, offset + a * b), (a, b)))
@@ -472,10 +472,13 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, model: ModelState, seed: int | None = None, extra: dict | None = None):
-    """Write a model checkpoint (npz: version, widths, seed, theta, metadata)."""
+    """Write a model checkpoint (npz: version, widths, seed, theta, metadata).
+
+    `seed`, if given, must be a count (at least 0): -1 is stored for None.
+    """
     meta = json.dumps(extra or {})
     np.savez(path, version=CHECKPOINT_VERSION, widths=np.asarray(model.architecture.widths),
-             seed=-1 if seed is None else int(seed), theta=model.theta, meta=meta)
+             seed=-1 if seed is None else check_count("seed", seed, 0), theta=model.theta, meta=meta)
 
 
 def load_checkpoint(path) -> tuple[ModelState, int | None, dict]:
@@ -483,7 +486,7 @@ def load_checkpoint(path) -> tuple[ModelState, int | None, dict]:
     with file_faults(path, "checkpoint"), np.lib.npyio.NpzFile(path) as z:
         if "version" not in z or int(z["version"]) != CHECKPOINT_VERSION:
             raise FormatError("unsupported checkpoint version")
-        arch = Architecture(tuple(int(w) for w in z["widths"]))
+        arch = Architecture(tuple(z["widths"]))
         seed = int(z["seed"])
         model = ModelState(arch, z["theta"])
         meta = json.loads(str(z["meta"]))

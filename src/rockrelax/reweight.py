@@ -14,12 +14,11 @@ probability mass is spread uniformly over the minimum-loss samples.
 from __future__ import annotations
 
 import bisect
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from rockrelax.errors import InvalidInputError
+from rockrelax.errors import InvalidInputError, check_real
 
 # Feasibility tolerance for membership in U.
 FEAS_TOL = 1e-12
@@ -60,7 +59,10 @@ class WeightShift:
     shifts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float))
+        shifts = np.asarray(self.shifts, dtype=float)
+        if shifts.ndim != 1:
+            raise InvalidInputError(f"shifts must be a 1-d array, got shape {shifts.shape}")
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def n(self) -> int:
@@ -112,12 +114,6 @@ class LossPartition:
         return self.chi.size / self.n
 
 
-def _check_real(name: str, value) -> None:
-    """Raise InvalidInputError unless `value` is a real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ReweightConfig:
     """Hyperparameters of the re-weighting step.
@@ -132,18 +128,17 @@ class ReweightConfig:
     contamination_estimate: float | None = None
 
     def __post_init__(self):
-        _check_real("gamma", self.gamma)
-        _check_real("mu", self.mu)
-        if self.contamination_estimate is not None:
-            _check_real("contamination_estimate", self.contamination_estimate)
+        check_real("gamma", self.gamma)
+        check_real("mu", self.mu)
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
         if not 0 < self.mu <= 1:
             raise InvalidInputError(f"mu must lie in (0, 1], got {self.mu}")
-        if self.contamination_estimate is not None and not 0 <= self.contamination_estimate <= 1:
-            raise InvalidInputError(
-                f"contamination estimate must lie in [0, 1], got {self.contamination_estimate}"
-            )
+        if self.contamination_estimate is not None:
+            check_real("contamination_estimate", self.contamination_estimate)
+            if not 0 <= self.contamination_estimate <= 1:
+                raise InvalidInputError("contamination estimate must lie in [0, 1], "
+                                        f"got {self.contamination_estimate}")
 
 
 def _pruned(c, upper):

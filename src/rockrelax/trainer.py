@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from rockrelax.data import ContaminatedDataset
-from rockrelax.errors import InvalidInputError
+from rockrelax.errors import InvalidInputError, check_count, check_real
 from rockrelax.models import (
     Architecture,
     LossKind,
@@ -34,7 +33,6 @@ from rockrelax.reweight import (
     LossPartition,
     ReweightConfig,
     WeightShift,
-    _check_real,
     auto_tune_gamma,
     blend_weights,
     partition_losses,
@@ -87,23 +85,15 @@ class TrainConfig:
             raise InvalidInputError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
         if not isinstance(self.reweight, ReweightConfig):
             raise InvalidInputError(f"reweight must be a ReweightConfig, got {self.reweight!r}")
-        _check_real("epsilon_train", self.epsilon_train)
-        _check_real("learning_rate", self.learning_rate)
+        check_real("epsilon_train", self.epsilon_train)
+        check_real("learning_rate", self.learning_rate)
         if not 0 <= self.epsilon_train <= 1:
             raise InvalidInputError(f"epsilon_train must lie in [0, 1], got {self.epsilon_train}")
         if (self.mode == "arrm") != (self.epsilon_train > 0):
             raise InvalidInputError("arrm mode requires epsilon_train > 0; erm/rrm require 0")
-        for name in ("epochs_per_iteration", "batch_size", "max_iterations", "patience", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer would not echo as JSON
-        if self.epochs_per_iteration < 1 or self.batch_size < 1 or self.max_iterations < 1:
-            raise InvalidInputError("epochs, batch size, and iterations must be >= 1")
-        if self.patience < 1:
-            raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("epochs_per_iteration", 1), ("batch_size", 1), ("max_iterations", 1),
+                          ("patience", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if not self.learning_rate > 0:
             raise InvalidInputError(f"learning rate must be positive, got {self.learning_rate}")
         if not math.isfinite(self.learning_rate):

@@ -16,7 +16,7 @@ from rockrelax.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, EXIT_VER
 from rockrelax.data import ContaminatedDataset, load_cache, mnist_kernel_path, save_cache, write_idx
 from rockrelax.errors import NumericError
 from rockrelax.models import load_checkpoint
-from rockrelax.trainer import IterationRecord, RunRecord, TrainConfig, accuracy
+from rockrelax.trainer import MODES, IterationRecord, RunRecord, TrainConfig, accuracy
 
 
 def write_json(path, doc):
@@ -269,6 +269,11 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--mode", "erm", "--seed", "5"]) == EXIT_OK
         agg = json.loads((caches / "runs" / "rrm" / "aggregate.json").read_text())
         assert agg["mode"] == "erm" and agg["seeds"] == [5]
+
+    def test_mode_choices_are_the_trainers_modes(self):
+        train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+        mode = next(a for a in train._actions if a.dest == "mode")
+        assert tuple(mode.choices) == MODES
 
     @pytest.mark.parametrize("flag,swept", [([], None), (["0.2"], {"0.2"})])
     def test_epsilon_test_flag_replaces_the_config_sweep(self, caches, flag, swept):

@@ -258,8 +258,22 @@ class TestSubset:
     def test_ids_outside_the_classes_rejected(self, keep):
         # lut[-1] would index from the end; 3 and 7 are not classes of a 3-class set
         ds = toy_dataset(np.random.default_rng(4), n=30, k=3)
-        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 3\)"):
+        match = "kept class id must be >= 0, got -1" if -1 in keep else r"must lie in \[0, 3\)"
+        with pytest.raises(InvalidInputError, match=match):
             subset_classes(ds, keep)
+
+    @pytest.mark.parametrize("keep", [[0, 1.5], [0, True], [np.float64(1.0)], ["1"]])
+    def test_non_integer_ids_rejected(self, keep):
+        # int() used to keep classes 0 and 1 for [0, 1.5]
+        ds = toy_dataset(np.random.default_rng(4), n=30, k=3)
+        with pytest.raises(InvalidInputError, match="kept class id must be an integer"):
+            subset_classes(ds, keep)
+
+    def test_numpy_integer_ids_accepted(self):
+        ds = toy_dataset(np.random.default_rng(4), n=30, k=3)
+        sub = subset_classes(ds, np.array([0, 2], dtype=np.uint8))
+        assert_same_dataset(sub, subset_classes(ds, [0, 2]))
+        assert type(sub.num_classes) is int
 
     def test_observed_label_outside_kept_set_rejected(self):
         clean = np.array([0, 1, 2, 0, 1, 2])
@@ -323,6 +337,25 @@ class TestNcar:
         # unchecked, -1 and 12 would wrap modulo 10 and floats would be truncated
         with pytest.raises(InvalidInputError, match=message):
             inject_ncar(labels, 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("rate, num_classes, message", [
+        (True, 3, "rate must be a real number, got True"),  # used to flip every label
+        ("0.5", 3, "rate must be a real number, got '0.5'"),
+        (None, 3, "rate must be a real number, got None"),
+        (0.5, 2.5, "num_classes must be an integer, got 2.5"),
+        (0.5, True, "num_classes must be an integer, got True"),
+        (0.0, 0, "num_classes must be >= 1, got 0"),
+    ])
+    def test_rate_and_class_count_checked(self, rate, num_classes, message):
+        with pytest.raises(InvalidInputError, match=message):
+            inject_ncar(np.zeros(12, dtype=int), rate, num_classes, seed=0)
+
+    def test_numpy_rate_and_class_count_accepted(self):
+        labels = np.arange(40) % 4
+        got = inject_ncar(labels, np.float32(0.25), np.int64(4), seed=5)
+        want = inject_ncar(labels, 0.25, 4, seed=5)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestKernel:
@@ -492,6 +525,33 @@ class TestBlobsAndSplit:
         train, val, test = split(ds, (1.0, 0.0, 0.0), seed=0)
         assert train.n == 40 and val.n == 0 and test.n == 0
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 10, 4, 5.0), "num_classes must be an integer, got True"),
+        ((3, 2.5, 4, 5.0), "samples_per_class must be an integer, got 2.5"),
+        ((3, 10, "4", 5.0), "input_dim must be an integer, got '4'"),
+        ((0, 10, 4, 5.0), "num_classes must be >= 1, got 0"),
+        ((3, 0, 4, 5.0), "samples_per_class must be >= 1, got 0"),
+        ((3, 10, 0, 5.0), "input_dim must be >= 1, got 0"),
+        ((3, 10, 4, True), "separation must be a real number, got True"),
+        ((3, 10, 4, "5"), "separation must be a real number, got '5'"),
+        ((3, 10, 4, 0.0), "separation must be positive, got 0.0"),
+    ])
+    def test_blob_arguments_checked(self, args, message):
+        with pytest.raises(InvalidInputError, match=message):
+            make_synthetic_blobs(*args, seed=0)
+
+    def test_numpy_blob_arguments_accepted(self):
+        ds = make_synthetic_blobs(np.int64(3), np.int32(5), np.uint8(4), np.float64(5.0), seed=0)
+        assert_same_dataset(ds, make_synthetic_blobs(3, 5, 4, 5.0, seed=0))
+        assert type(ds.num_classes) is int
+
+    @pytest.mark.parametrize("fractions", [("0.5", "0.5"), (True, 0.0), (0.5, None)])
+    def test_split_fractions_must_be_reals(self, fractions):
+        # float() used to split ('0.5', '0.5') 15/15 and (True, 0.0) 30/0
+        ds = toy_dataset(np.random.default_rng(11), n=30)
+        with pytest.raises(InvalidInputError, match="split fraction must be a real number"):
+            split(ds, fractions, seed=0)
+
     def test_bad_fractions(self):
         rng = np.random.default_rng(11)
         ds = toy_dataset(rng, n=10)
@@ -537,6 +597,19 @@ class TestCache:
         arrays["num_classes"] = np.array(2)  # the labels reach class 2
         np.savez_compressed(path, **arrays)
         with pytest.raises(FormatError, match="do not fit 2 classes"):
+            load_cache(path)
+
+    def test_non_integer_class_count_is_a_format_error(self, tmp_path):
+        # labels in [0, 1] fit the 2 classes that int() used to make of 2.5
+        ds = ContaminatedDataset.clean(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+        path = tmp_path / "cache.npz"
+        save_cache(path, ds)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["num_classes"] = np.array(2.5)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(FormatError, match=f"^invalid dataset cache {re.escape(str(path))}: "
+                                              "num_classes must be an integer, got 2.5$"):
             load_cache(path)
 
     def test_float_labels_rejected(self, tmp_path):
@@ -601,6 +674,31 @@ class TestInvariants:
     def test_clean_rejects_non_integer_labels(self, labels):
         with pytest.raises(InvalidInputError, match="labels must be integers"):
             ContaminatedDataset.clean(np.zeros((3, 2)), labels, 3)
+
+    @pytest.mark.parametrize("num_classes, message", [
+        (2.5, "num_classes must be an integer, got 2.5"),  # save_cache used to write it
+        (True, "num_classes must be an integer, got True"),
+        ("3", "num_classes must be an integer, got '3'"),
+        (None, "num_classes must be an integer, got None"),
+        (-1, "num_classes must be >= 0, got -1"),
+    ])
+    def test_num_classes_must_be_a_count(self, num_classes, message):
+        features, labels = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+        with pytest.raises(InvalidInputError, match=message):
+            ContaminatedDataset(features, labels, labels, np.empty(0, dtype=int), num_classes)
+        with pytest.raises(InvalidInputError, match=message):
+            ContaminatedDataset.clean(features, labels, num_classes)
+
+    def test_numpy_integer_num_classes_stored_as_int(self):
+        ds = ContaminatedDataset.clean(np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.int64(2))
+        assert ds.num_classes == 2 and type(ds.num_classes) is int
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1), ()])
+    def test_features_must_be_2d(self, shape):
+        # 1-d features used to construct, then fail in input_dim and save_cache
+        message = re.escape(f"features must be 2-d, got shape {shape}")
+        with pytest.raises(InvalidInputError, match=message):
+            ContaminatedDataset.clean(np.zeros(shape), np.zeros(5, dtype=int), 2)
 
     def test_unsigned_labels_accepted(self):
         labels = np.array([0, 2, 1], dtype=np.uint8)

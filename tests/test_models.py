@@ -1029,6 +1029,41 @@ class TestArchitecture:
         assert loaded.architecture == model.architecture
         assert seed == 11 and meta == {"note": "unit"}
 
+    @pytest.mark.parametrize("widths, message", [
+        ((4.5, 3), "width must be an integer, got 4.5"),  # int() used to build a 4-input net
+        ((True, 3), "width must be an integer, got True"),
+        ((4, "3"), "width must be an integer, got '3'"),
+        ((4, 0), "width must be >= 1, got 0"),
+        ((4,), "need at least input and output widths"),
+    ])
+    def test_widths_must_be_counts(self, widths, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Architecture(widths)
+
+    def test_numpy_integer_widths_stored_as_ints(self):
+        arch = Architecture(np.array([6, 4, 3], dtype=np.int32))
+        assert arch.widths == (6, 4, 3) and all(type(w) is int for w in arch.widths)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"),  # int() used to store 2
+        (True, "seed must be an integer, got True"),
+        (-3, "seed must be >= 0, got -3"),  # used to read back as None
+    ])
+    def test_checkpoint_seed_must_be_a_count(self, tmp_path, seed, message):
+        path = tmp_path / "ckpt.npz"
+        with pytest.raises(InvalidInputError, match=message):
+            save_checkpoint(path, init_params(Architecture((6, 4, 3)), seed=11), seed=seed)
+        assert not path.exists()
+
+    def test_float_widths_in_a_checkpoint_are_a_format_error(self, tmp_path):
+        # a 12-entry theta fits (4, 3), which int() used to make of [4.5, 3.0]
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, version=models.CHECKPOINT_VERSION, widths=np.array([4.5, 3.0]), seed=-1,
+                 theta=np.zeros(12), meta="{}")
+        with pytest.raises(FormatError, match=f"^invalid checkpoint {re.escape(str(path))}: "
+                                              "width must be an integer"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("fault", [
         "no-theta", "nan-theta", "wrong-version", "not-an-npz", "bare-npy",
         # a truncated archive must not leave its file open (a ResourceWarning)

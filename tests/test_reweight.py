@@ -1,4 +1,5 @@
 import bisect
+import re
 
 import numpy as np
 import pytest
@@ -476,6 +477,15 @@ class TestKkt:
         u[j] -= moved
         shift = WeightShift(u)
         assert check_kkt(c, shift, gamma) == _check_kkt_oracle(c, shift, gamma)
+
+
+class TestWeightShift:
+    @pytest.mark.parametrize("shape", [(60, 1), (2, 3), ()])
+    def test_shifts_must_be_1d(self, shape):
+        # a (60, 1) column used to construct, then fail in gradient_step and in broadcasts
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"shifts must be a 1-d array, got shape {shape}")):
+            WeightShift(np.zeros(shape))
 
 
 class TestConfig:

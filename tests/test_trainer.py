@@ -115,9 +115,9 @@ class TestConfig:
     @pytest.mark.parametrize("mode,kw,message", [
         ("arrm", {"epsilon_train": 1.5}, r"epsilon_train must lie in \[0, 1\], got 1.5"),
         ("rrm", {"epsilon_train": -0.1}, r"epsilon_train must lie in \[0, 1\], got -0.1"),
-        ("rrm", {"epochs_per_iteration": 0}, "epochs, batch size, and iterations must be >= 1"),
-        ("rrm", {"batch_size": 0}, "epochs, batch size, and iterations must be >= 1"),
-        ("rrm", {"max_iterations": 0}, "epochs, batch size, and iterations must be >= 1"),
+        ("rrm", {"epochs_per_iteration": 0}, "epochs_per_iteration must be >= 1, got 0"),
+        ("rrm", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ("rrm", {"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
         ("rrm", {"learning_rate": 0.0}, "learning rate must be positive, got 0.0"),
         ("rrm", {"learning_rate": float("nan")}, "learning rate must be positive, got nan"),
         ("rrm", {"patience": 0}, "patience must be >= 1, got 0"),

@@ -1,12 +1,14 @@
 """The float64 training trajectories match the recorded goldens bit for bit.
 
 `tools/trajectory_hash.py` hashes a 36-run matrix per batch size, and three
-runs at the wide `MNIST3_WIDTHS` on one BLAS thread.  The goldens hold only
+runs at the wide `MNIST3_WIDTHS` on one BLAS thread, once in full and once
+over the final theta bytes alone.  The goldens hold only
 on the environment that recorded them (numpy build, BLAS and its CPU
 kernels, machine), so on any other fingerprint the tests skip.
 """
 
 import ctypes
+import hashlib
 import importlib.util
 import json
 import os
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from rockrelax.models import MNIST3_WIDTHS, SCRATCH_MAX_BYTES
+from rockrelax.models import MNIST3_WIDTHS, SCRATCH_MAX_BYTES, Architecture
+from rockrelax.trainer import TrainConfig, run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "trajectory_golden.json").read_text())
@@ -35,12 +38,29 @@ def skip_on_other_fingerprint():
 @pytest.mark.parametrize("batch_size", trajectory_hash.BATCH_SIZES)
 def test_trajectory_digest_matches_golden(batch_size):
     skip_on_other_fingerprint()
-    assert trajectory_hash.digest(batch_size) == GOLDEN["digests"][str(batch_size)]
+    key = str(batch_size)
+    assert trajectory_hash.digest(batch_size) == (GOLDEN["digests"][key],
+                                                  GOLDEN["theta_digests"][key])
 
 
 def test_wide_digest_matches_golden():
     skip_on_other_fingerprint()
-    assert trajectory_hash.wide_digest() == GOLDEN["digests"]["wide"]
+    assert trajectory_hash.wide_digest() == (GOLDEN["digests"]["wide"],
+                                             GOLDEN["theta_digests"]["wide"])
+
+
+def test_goldens_hold_a_theta_digest_per_digest():
+    assert set(GOLDEN["theta_digests"]) == set(GOLDEN["digests"])
+
+
+def test_theta_digest_covers_the_final_theta_alone():
+    data = trajectory_hash.splits(0)
+    config = TrainConfig(epochs_per_iteration=1, max_iterations=2)
+    h, theta_h = hashlib.sha256(), hashlib.sha256()
+    trajectory_hash._hash_run(h, theta_h, data, config, Architecture((10, 3)))
+    model, _ = run(*data, config, Architecture((10, 3)))
+    assert theta_h.hexdigest() == hashlib.sha256(model.theta.tobytes()).hexdigest()
+    assert h.hexdigest() != theta_h.hexdigest()
 
 
 def test_wide_training_set_spans_several_blocks_of_the_full_set_pass():

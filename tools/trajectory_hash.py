@@ -23,6 +23,12 @@ no multiple of 1,638, so the digest exercises the blocked pass.
 
     python tools/trajectory_hash.py
 
+With `--json` the tool prints the fingerprint (below), `digests` and
+`theta_digests`: for each key of `digests`, a SHA-256 over the final theta
+bytes alone of the same runs.  A change that adds a field to the records or
+the summary changes every digest but no theta digest, so it can show that
+training stayed bit-exact and re-record the goldens.
+
 The tool puts the checkout's `src/` first on `sys.path`, so it hashes the
 package next to it, not an installed copy, and needs no PYTHONPATH.
 
@@ -64,13 +70,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rockrelax.data import ContaminatedDataset, inject_ncar, make_synthetic_blobs, split
 from rockrelax.models import MNIST3_WIDTHS, Architecture, LossKind
 from rockrelax.reweight import ReweightConfig
-from rockrelax.trainer import TrainConfig, run
+from rockrelax.trainer import MODES, TrainConfig, run
 
 ARCH = Architecture((10, 16, 16, 3))
 REWEIGHTS = (ReweightConfig(gamma=0.4, mu=0.5), ReweightConfig(contamination_estimate=0.4))
 BATCH_SIZES = (16, 23)
 WIDE_ARCH = Architecture(MNIST3_WIDTHS)
-MODES = ("erm", "rrm", "arrm")
 
 
 def _noisy_splits(ds: ContaminatedDataset, fractions, seed: int):
@@ -147,15 +152,18 @@ def fingerprint() -> dict:
     }
 
 
-def _hash_run(h, data, config: TrainConfig, arch: Architecture) -> None:
+def _hash_run(h, theta_h, data, config: TrainConfig, arch: Architecture) -> None:
+    """Feed one run to `h` (theta, records, summary) and its theta alone to `theta_h`."""
     model, record = run(*data, config, arch)
     h.update(model.theta.tobytes())
+    theta_h.update(model.theta.tobytes())
     h.update(repr(record.iterations).encode())
     h.update(json.dumps(record.summary(), sort_keys=True, default=str).encode())
 
 
-def digest(batch_size: int) -> str:
-    h = hashlib.sha256()
+def digest(batch_size: int) -> tuple[str, str]:
+    """The digest and the theta digest of the 36-run matrix at `batch_size`."""
+    h, theta_h = hashlib.sha256(), hashlib.sha256()
     for seed in (0, 1):
         data = splits(seed)
         for mode in MODES:
@@ -166,12 +174,13 @@ def digest(batch_size: int) -> str:
                         epsilon_train=0.05 if mode == "arrm" else 0.0,
                         epochs_per_iteration=2, batch_size=batch_size, learning_rate=0.1,
                         reweight=rw, max_iterations=4, seed=seed)
-                    _hash_run(h, data, config, ARCH)
-    return h.hexdigest()
+                    _hash_run(h, theta_h, data, config, ARCH)
+    return h.hexdigest(), theta_h.hexdigest()
 
 
-def wide_digest() -> str:
-    h = hashlib.sha256()
+def wide_digest() -> tuple[str, str]:
+    """The digest and the theta digest of the three runs at `MNIST3_WIDTHS`."""
+    h, theta_h = hashlib.sha256(), hashlib.sha256()
     data = wide_splits()
     with one_blas_thread():
         for mode in MODES:
@@ -179,18 +188,22 @@ def wide_digest() -> str:
                 mode=mode, epsilon_train=0.05 if mode == "arrm" else 0.0,
                 epochs_per_iteration=1, batch_size=32, learning_rate=0.1,
                 reweight=REWEIGHTS[0], max_iterations=2, seed=0)
-            _hash_run(h, data, config, WIDE_ARCH)
-    return h.hexdigest()
+            _hash_run(h, theta_h, data, config, WIDE_ARCH)
+    return h.hexdigest(), theta_h.hexdigest()
 
 
-def digests() -> dict[str, str]:
-    """Every digest, keyed by batch size and `wide`."""
-    return {**{str(size): digest(size) for size in BATCH_SIZES}, "wide": wide_digest()}
+def digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Every digest and every theta digest, each keyed by batch size and `wide`."""
+    pairs = {**{str(size): digest(size) for size in BATCH_SIZES}, "wide": wide_digest()}
+    return ({key: full for key, (full, _) in pairs.items()},
+            {key: theta for key, (_, theta) in pairs.items()})
 
 
 if __name__ == "__main__":
+    full, theta = digests()
     if sys.argv[1:] == ["--json"]:
-        print(json.dumps({"fingerprint": fingerprint(), "digests": digests()}, indent=2))
+        print(json.dumps({"fingerprint": fingerprint(), "digests": full, "theta_digests": theta},
+                         indent=2))
     else:
-        for key, value in digests().items():
+        for key, value in full.items():
             print(f"{value}  {'wide' if key == 'wide' else f'batch {key}'}")
